@@ -14,11 +14,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import core, curvature, ghdist, models, transport
 from .io import (
+    _plain,
     fmt,
     load_problem,
     load_space,
@@ -79,14 +81,6 @@ def _emit(report, args) -> None:
         sys.stdout.write(text)
 
 
-def _functional_record(r: curvature.FunctionalReport) -> dict:
-    return {
-        "name": r.name, "lhs": r.lhs, "rhs": r.rhs, "slack": r.slack,
-        "passed": r.passed, "tolerance": r.tolerance,
-        "details": _jsonable(r.details),
-    }
-
-
 def _build_model(args):
     if args.model == "funk":
         return models.FunkBall(dim=args.dim)
@@ -130,9 +124,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    obj = load_space(args.file)
-    space = obj.space if isinstance(obj, core.MeasuredSpace) else obj
-    report = core.validate(space, tol=args.tol)
+    report = core.validate(_plain(load_space(args.file)), tol=args.tol)
     _emit({
         "valid": report.valid,
         "triangle_violations": report.triangle_violations[:args.max_listed],
@@ -164,9 +156,7 @@ def cmd_dist(args) -> int:
     if args.kind == "gh":
         if args.theta is None:
             raise core.SpaceError("dist gh requires --theta")
-        sa = a.space if isinstance(a, core.MeasuredSpace) else a
-        sb = b.space if isinstance(b, core.MeasuredSpace) else b
-        br = ghdist.gh_bracket(sa, sb, args.theta, seed=args.seed)
+        br = ghdist.gh_bracket(_plain(a), _plain(b), args.theta, seed=args.seed)
         _emit({
             "kind": "gh", "lower": br.lower, "upper": br.upper,
             "theta": br.theta, "heuristic": br.heuristic,
@@ -194,10 +184,9 @@ def cmd_dist(args) -> int:
         _emit({"kind": "prokhorov", "value": value}, args)
         return 0
     if args.kind == "hausdorff":
-        sa = a.space if isinstance(a, core.MeasuredSpace) else a
         if args.set_a is None or args.set_b is None:
             raise core.SpaceError("dist hausdorff requires --set-a and --set-b")
-        value = ghdist.hausdorff(sa, args.set_a, args.set_b)
+        value = ghdist.hausdorff(_plain(a), args.set_a, args.set_b)
         _emit({"kind": "hausdorff", "value": value}, args)
         return 0
     raise core.SpaceError(f"unknown distance kind {args.kind!r}")
@@ -251,20 +240,20 @@ def cmd_cd(args) -> int:
     ts = [float(t) for t in args.ts]
     if not ts or any(not 0.0 <= t <= 1.0 for t in ts):
         raise core.SpaceError("t values must lie in [0, 1]")
-    N = math.inf if args.N in ("inf", "Inf") else float(args.N)
+    N = float(args.N)
     if args.mu0 is not None and args.mu1 is not None:
         mu0 = np.asarray(json.loads(args.mu0), dtype=float)
         mu1 = np.asarray(json.loads(args.mu1), dtype=float)
     else:
         mu0, mu1 = _density_pair(ms, args.seed)
     reports = curvature.cd_check(ms, mu0, mu1, args.K, N, U, ts)
-    _emit([_functional_record(r) for r in reports], args)
+    _emit([asdict(r) for r in reports], args)
     return 0 if all(r.passed for r in reports) else CHECK_FAILED
 
 
 def cmd_ineq(args) -> int:
     ms = _as_measured(load_space(args.file), "ineq").normalized()
-    N = math.inf if args.N in ("inf", "Inf") else float(args.N)
+    N = float(args.N)
     if args.K <= 0 and (args.poincare or args.log_sobolev):
         raise core.SpaceError(
             "Poincare and log-Sobolev flags require K > 0")
@@ -276,14 +265,14 @@ def cmd_ineq(args) -> int:
         rng = np.random.default_rng(args.seed)
         f = rng.standard_normal(ms.n)
     reports = curvature.functional_inequality_suite(ms, args.K, N, mu=mu, f=f)
-    _emit([_functional_record(r) for r in reports], args)
+    _emit([asdict(r) for r in reports], args)
     return 0 if all(r.passed for r in reports) else CHECK_FAILED
 
 
 def cmd_report(args) -> int:
     """One-stop summary of a space file: validity, reversibility, size."""
     obj = load_space(args.file)
-    space = obj.space if isinstance(obj, core.MeasuredSpace) else obj
+    space = _plain(obj)
     rep = core.validate(space, tol=args.tol)
     out = {
         "n": space.n,
@@ -346,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("file")
     d.add_argument("other", nargs="?", default=None)
     d.add_argument("--theta", type=float, default=None)
-    d.add_argument("-p", type=float, default=1.0)
     d.add_argument("--set-a", type=int, nargs="*", default=None)
     d.add_argument("--set-b", type=int, nargs="*", default=None)
     common(d)

@@ -22,6 +22,7 @@ __all__ = [
     "ThetaBound",
     "BallSpec",
     "ValidationReport",
+    "FunctionalReport",
     "DoublingReport",
     "validate",
     "reversibility",
@@ -175,6 +176,19 @@ class ValidationReport:
 
 
 @dataclass
+class FunctionalReport:
+    """One checked inequality: lhs against rhs, its slack and tolerance."""
+
+    name: str
+    lhs: float
+    rhs: float
+    slack: float
+    passed: bool
+    tolerance: float
+    details: dict = field(default_factory=dict)
+
+
+@dataclass
 class DoublingReport:
     constant: float
     witness_point: int
@@ -224,7 +238,8 @@ def validate(space: QuasiMetricSpace, tol: float = USER_TOL) -> ValidationReport
 def reversibility(space: QuasiMetricSpace, subset=None) -> float:
     """Max of d(x,y)/d(y,x) over ordered pairs of distinct points in subset.
 
-    Returns 1.0 for a singleton subset.
+    Returns 1.0 for a singleton subset.  Pairs with d(x,y) = d(y,x),
+    zero included, count as ratio 1.
     """
     if subset is None:
         idx = np.arange(space.n)
@@ -236,8 +251,9 @@ def reversibility(space: QuasiMetricSpace, subset=None) -> float:
         return 1.0
     d = space.dist[np.ix_(idx, idx)]
     mask = ~np.eye(idx.size, dtype=bool)
+    fwd, bwd = d[mask], d.T[mask]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = d[mask] / d.T[mask]
+        ratios = np.where(fwd == bwd, 1.0, fwd / bwd)
     return float(np.max(ratios))
 
 
@@ -278,6 +294,18 @@ def path_length(space: QuasiMetricSpace, path) -> float:
     return float(sum(space.dist[a, b] for a, b in zip(p, p[1:])))
 
 
+def _hop_graph(d: np.ndarray, radius: float) -> csr_matrix:
+    """Directed graph of the hops d(i, j) < radius, i != j, weighted by d."""
+    hops = (d < radius) & ~np.eye(d.shape[0], dtype=bool)
+    return csr_matrix(np.where(hops, d, 0.0))
+
+
+def _pitch(space: QuasiMetricSpace) -> float:
+    """Largest nearest-out-neighbor distance: the sampling pitch."""
+    d = space.dist + np.diag(np.full(space.n, np.inf))
+    return float(d.min(axis=1).max())
+
+
 def induced_length_metric(
     space: QuasiMetricSpace, neighbor_radius: float
 ) -> QuasiMetricSpace:
@@ -287,11 +315,7 @@ def induced_length_metric(
     second application with the same radius.  Raises when the hop graph
     is not strongly connected.
     """
-    d = space.dist
-    n = space.n
-    hops = (d < neighbor_radius) & ~np.eye(n, dtype=bool)
-    graph = csr_matrix(np.where(hops, d, 0.0))
-    out = dijkstra(graph, directed=True)
+    out = dijkstra(_hop_graph(space.dist, neighbor_radius), directed=True)
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise SpaceError(

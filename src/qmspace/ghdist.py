@@ -131,17 +131,8 @@ def iso_defect(X: QuasiMetricSpace, Y: QuasiMetricSpace,
     if n ** m <= EXACT_MAP_LIMIT:
         best = np.inf
         best_a = None
-        batch = []
-        for combo in itertools.product(range(n), repeat=m):
-            batch.append(combo)
-            if len(batch) == 4096:
-                arr = np.asarray(batch)
-                defects = _map_defect(dx, dy, arr)
-                k = int(np.argmin(defects))
-                if defects[k] < best:
-                    best, best_a = float(defects[k]), arr[k]
-                batch = []
-        if batch:
+        combos = itertools.product(range(n), repeat=m)
+        while batch := list(itertools.islice(combos, 4096)):
             arr = np.asarray(batch)
             defects = _map_defect(dx, dy, arr)
             k = int(np.argmin(defects))
@@ -183,6 +174,15 @@ def iso_defect(X: QuasiMetricSpace, Y: QuasiMetricSpace,
     return IsoDefect(best, PointMap(X, Y, best_a), heuristic=True)
 
 
+def _check_theta(theta: float, X: QuasiMetricSpace, Y: QuasiMetricSpace):
+    """Raise unless theta dominates both reversibilities."""
+    lam = max(reversibility(X), reversibility(Y))
+    if theta < lam - 1e-12:
+        raise SpaceError(
+            f"theta={theta} below reversibility {lam}: no admissible gluing"
+        )
+
+
 def gh_bracket(X: QuasiMetricSpace, Y: QuasiMetricSpace,
                theta: float, seed: int = 0) -> GhBracket:
     """Two-sided bracket on the admissible-gluing distance between X and Y.
@@ -191,11 +191,7 @@ def gh_bracket(X: QuasiMetricSpace, Y: QuasiMetricSpace,
     distance lies in [m/(1+theta), 2m].  Requires theta to dominate both
     reversibilities, otherwise no admissible gluing exists.
     """
-    lam = max(reversibility(X), reversibility(Y))
-    if theta < lam - 1e-12:
-        raise SpaceError(
-            f"theta={theta} below reversibility {lam}: no admissible gluing"
-        )
+    _check_theta(theta, X, Y)
     fwd = iso_defect(X, Y, seed=seed)
     bwd = iso_defect(Y, X, seed=seed)
     best = fwd if fwd.defect <= bwd.defect else bwd
@@ -290,11 +286,7 @@ def ghp_upper(X: MeasuredSpace, Y: MeasuredSpace, theta: float,
     Builds the admissible gluing from the better epsilon-isometry
     between the two spaces and evaluates Hausdorff plus Prokhorov there.
     """
-    lam = max(reversibility(X.space), reversibility(Y.space))
-    if theta < lam - 1e-12:
-        raise SpaceError(
-            f"theta={theta} below reversibility {lam}: no admissible gluing"
-        )
+    _check_theta(theta, X.space, Y.space)
     best = np.inf
     for A, B in ((X, Y), (Y, X)):
         res = iso_defect(A.space, B.space, seed=seed)

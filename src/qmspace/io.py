@@ -55,6 +55,11 @@ def write_atomic(path: str, text: str):
         raise
 
 
+def _plain(obj) -> QuasiMetricSpace:
+    """The underlying space of a loaded space file, weights dropped."""
+    return obj.space if isinstance(obj, MeasuredSpace) else obj
+
+
 def _space_from_dict(obj: dict):
     if "dist" not in obj:
         raise SpaceError("space object needs a 'dist' matrix")
@@ -76,8 +81,7 @@ def _space_from_dict(obj: dict):
     return space
 
 
-def load_space(path: str):
-    """Load a QuasiMetricSpace or MeasuredSpace from a JSON file."""
+def _load_object(path: str) -> dict:
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -85,23 +89,26 @@ def load_space(path: str):
             raise SpaceError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpaceError(f"{path}: expected a JSON object")
-    return _space_from_dict(obj)
+    return obj
+
+
+def load_space(path: str):
+    """Load a QuasiMetricSpace or MeasuredSpace from a JSON file."""
+    return _space_from_dict(_load_object(path))
 
 
 def _space_to_dict(space, metadata: dict | None = None) -> dict:
     if isinstance(space, MeasuredSpace):
-        base = _space_to_dict(space.space)
-        base["weights"] = space.weights.tolist()
+        out = _space_to_dict(space.space)
+        out["weights"] = space.weights.tolist()
         if space.basepoint is not None:
-            base["basepoint"] = int(space.basepoint)
-        if metadata:
-            base["metadata"] = metadata
-        return base
-    out = {"n": space.n, "dist": space.dist.tolist()}
-    if space.labels is not None:
-        out["labels"] = list(space.labels)
-    if space.coords is not None:
-        out["coords"] = np.asarray(space.coords).tolist()
+            out["basepoint"] = int(space.basepoint)
+    else:
+        out = {"n": space.n, "dist": space.dist.tolist()}
+        if space.labels is not None:
+            out["labels"] = list(space.labels)
+        if space.coords is not None:
+            out["coords"] = np.asarray(space.coords).tolist()
     if metadata:
         out["metadata"] = metadata
     return out
@@ -129,19 +136,12 @@ def save_matrix_csv(path: str, space: QuasiMetricSpace):
 
 def load_problem(path: str) -> TransportProblem:
     """Load a transport problem: space JSON plus mu, nu, p."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpaceError(f"invalid JSON in {path}: {exc}") from exc
+    obj = _load_object(path)
     for key in ("mu", "nu"):
         if key not in obj:
             raise SpaceError(f"{path}: missing '{key}'")
-    space = _space_from_dict(obj)
-    if isinstance(space, MeasuredSpace):
-        space = space.space
     return TransportProblem(
-        space,
+        _plain(_space_from_dict(obj)),
         np.asarray(obj["mu"], dtype=float),
         np.asarray(obj["nu"], dtype=float),
         float(obj.get("p", 1.0)),

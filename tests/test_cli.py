@@ -133,6 +133,19 @@ class TestDist:
         assert rep["lower"] == 0.0
         assert rep["upper"] == 0.0
 
+    @pytest.mark.parametrize("text", ["5", "[1, 2]"])
+    def test_w_non_object_exit_2(self, tmp_path, capsys, text):
+        pf = tmp_path / "prob.json"
+        pf.write_text(text)
+        assert main(["dist", "w", str(pf)]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_w_order_flag_is_usage_error(self, tmp_path):
+        space = QuasiMetricSpace(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        pf = tmp_path / "prob.json"
+        save_problem(str(pf), TransportProblem(space, [0.3, 0.7], [0.6, 0.4]))
+        assert main(["dist", "w", str(pf), "-p", "2"]) == 2
+
     def test_missing_theta_exit_2(self, funk_file):
         assert main(["dist", "gh", str(funk_file), str(funk_file)]) == 2
 

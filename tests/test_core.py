@@ -113,6 +113,11 @@ class TestReversibility:
             space = random_quasi_metric(rng, 5)
             assert reversibility(space) >= 1.0
 
+    def test_coincident_pair_is_one(self):
+        # d(0, 1) = d(1, 0) = 0: ratio 1, not 0/0
+        d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert reversibility(QuasiMetricSpace(d)) == 1.0
+
     def test_empty_subset_raises(self):
         space = line_space([0.0, 1.0])
         with pytest.raises(SpaceError):

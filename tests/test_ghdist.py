@@ -116,6 +116,12 @@ class TestGhBracket:
         with pytest.raises(SpaceError, match="no admissible gluing"):
             gh_bracket(X, X, theta=1.5)
 
+    def test_coincident_pair_still_checks_theta(self):
+        d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        X = QuasiMetricSpace(d)
+        with pytest.raises(SpaceError, match="no admissible gluing"):
+            gh_bracket(X, X, theta=0.5)
+
 
 class TestProkhorov:
     def test_equal_measures_zero(self, rng):

@@ -6,6 +6,7 @@ import pytest
 from conftest import euclidean_grid_1d, random_quasi_metric, smooth_density_pair
 from qmspace import (
     Coupling,
+    Interpolation,
     MeasuredSpace,
     QuasiMetricSpace,
     SpaceError,
@@ -203,6 +204,34 @@ def test_geodesy_residual_shrinks_with_pitch():
         worst.append(rep.details["abs_residual"])
     assert worst[2] <= worst[0]
     assert worst[2] <= 3 * 0.05
+
+
+class TestGeodesyCheck:
+    TS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def endpoints(self):
+        space = euclidean_grid_1d(0.05).space
+        mu0 = np.zeros(space.n)
+        mu1 = np.zeros(space.n)
+        mu0[0] = mu1[-1] = 1.0
+        return space, mu0, mu1
+
+    def test_displacement_interpolation_passes(self):
+        space, mu0, mu1 = self.endpoints()
+        _, c = wasserstein(TransportProblem(space, mu0, mu1, 2.0))
+        interp = interpolate(dynamical_plan(space, c), self.TS)
+        rep = geodesy_check(space, interp, 2.0)
+        assert rep.tolerance == pytest.approx(3 * 0.05)
+        assert rep.passed
+        assert rep.lhs <= rep.tolerance
+
+    def test_interpolation_stuck_at_start_fails(self):
+        space, mu0, mu1 = self.endpoints()
+        interp = Interpolation(
+            self.TS, tuple(mu1 if t == 1.0 else mu0 for t in self.TS))
+        rep = geodesy_check(space, interp, 2.0)
+        assert not rep.passed
+        assert rep.lhs > rep.tolerance
 
 
 class TestAsymmetryBound:
