@@ -152,6 +152,12 @@ def cmd_dist(args) -> int:
         return 0
 
     a = load_space(args.file)
+    if args.kind == "hausdorff":
+        if args.set_a is None or args.set_b is None:
+            raise core.SpaceError("dist hausdorff requires --set-a and --set-b")
+        value = ghdist.hausdorff(_plain(a), args.set_a, args.set_b)
+        _emit({"kind": "hausdorff", "value": value}, args)
+        return 0
     b = load_space(args.other)
     if args.kind == "gh":
         if args.theta is None:
@@ -182,12 +188,6 @@ def cmd_dist(args) -> int:
                 "distance matrices differ")
         value = ghdist.prokhorov(ma.space, ma.weights, mb.weights)
         _emit({"kind": "prokhorov", "value": value}, args)
-        return 0
-    if args.kind == "hausdorff":
-        if args.set_a is None or args.set_b is None:
-            raise core.SpaceError("dist hausdorff requires --set-a and --set-b")
-        value = ghdist.hausdorff(_plain(a), args.set_a, args.set_b)
-        _emit({"kind": "hausdorff", "value": value}, args)
         return 0
     raise core.SpaceError(f"unknown distance kind {args.kind!r}")
 

@@ -8,12 +8,11 @@ pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "SpaceError",
@@ -48,6 +47,35 @@ USER_TOL = 1e-6
 
 class SpaceError(ValueError):
     """Structural problem with a space, subset, or parameter."""
+
+
+class _OnFirstCall:
+    """Stand-in for a module that is imported when one of its functions is
+    first called.
+
+    scipy and networkx take most of a second to import; this keeps them
+    out of ``import qmspace`` and out of commands that never call them.
+    Reading an attribute imports nothing, so the attribute can be read,
+    wrapped and replaced like a module-level name.
+    """
+
+    def __init__(self, module: str):
+        self._module = module
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        module = self._module
+
+        def call(*args, **kwargs):
+            return getattr(importlib.import_module(module), name)(*args, **kwargs)
+
+        call.__name__ = call.__qualname__ = name
+        setattr(self, name, call)
+        return call
+
+
+dijkstra = _OnFirstCall("scipy.sparse.csgraph").dijkstra
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,8 +322,11 @@ def path_length(space: QuasiMetricSpace, path) -> float:
     return float(sum(space.dist[a, b] for a, b in zip(p, p[1:])))
 
 
-def _hop_graph(d: np.ndarray, radius: float) -> csr_matrix:
-    """Directed graph of the hops d(i, j) < radius, i != j, weighted by d."""
+def _hop_graph(d: np.ndarray, radius: float):
+    """Directed graph (scipy CSR) of the hops d(i, j) < radius, i != j,
+    weighted by d."""
+    from scipy.sparse import csr_matrix
+
     hops = (d < radius) & ~np.eye(d.shape[0], dtype=bool)
     return csr_matrix(np.where(hops, d, 0.0))
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     BallSpec,
@@ -441,6 +440,8 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
         if K == 0:
             denom = r ** N / N
         else:
+            from scipy.integrate import quad
+
             denom, err = quad(lambda s: s_kn(K, N, s) ** (N - 1), 0.0, r,
                               epsabs=1e-10, epsrel=1e-10)
             if err > 1e-8:

@@ -13,10 +13,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from .core import MeasuredSpace, QuasiMetricSpace, SpaceError, reversibility
+from .core import (
+    MeasuredSpace,
+    QuasiMetricSpace,
+    SpaceError,
+    _OnFirstCall,
+    reversibility,
+)
 
 __all__ = [
     "PointMap",
@@ -29,6 +34,8 @@ __all__ = [
     "prokhorov",
     "ghp_upper",
 ]
+
+nx = _OnFirstCall("networkx")
 
 #: enumerate all maps exactly when |target|^|source| is at most this
 EXACT_MAP_LIMIT = 1_000_000
@@ -89,6 +96,9 @@ def hausdorff(space: QuasiMetricSpace, A, B) -> float:
     B = np.asarray(sorted(set(int(i) for i in B)), dtype=int)
     if A.size == 0 or B.size == 0:
         raise SpaceError("Hausdorff distance needs nonempty sets")
+    if min(A[0], B[0]) < 0 or max(A[-1], B[-1]) >= space.n:
+        raise SpaceError(
+            f"Hausdorff set index out of range: the space has {space.n} points")
     d = space.dist
     a_in_b = d[np.ix_(B, A)].min(axis=0).max()  # min over b of d(b, a)
     b_in_a = d[np.ix_(A, B)].min(axis=0).max()  # min over a of d(a, b)

@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, eye, kron, vstack
-from scipy.sparse.csgraph import dijkstra
 
 from .core import (
     FunctionalReport,
@@ -22,7 +19,9 @@ from .core import (
     QuasiMetricSpace,
     SpaceError,
     _hop_graph,
+    _OnFirstCall,
     _pitch,
+    dijkstra,
 )
 
 __all__ = [
@@ -38,6 +37,8 @@ __all__ = [
     "geodesy_check",
     "default_hop_radius",
 ]
+
+linprog = _OnFirstCall("scipy.optimize").linprog
 
 MARGINAL_TOL = 1e-9
 MASS_TOL = 1e-12
@@ -107,6 +108,8 @@ class Interpolation:
 
 def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     """Exact transportation LP; returns (optimal value, plan matrix)."""
+    from scipy.sparse import eye, kron, vstack
+
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]
     c = cost[np.ix_(keep_r, keep_c)]
@@ -159,6 +162,8 @@ def kr_dual(prob: TransportProblem) -> tuple[float, np.ndarray]:
     psi[j] - psi[i] <= d(i, j); strong duality makes the optimum equal
     the primal distance.
     """
+    from scipy.sparse import csr_matrix
+
     if prob.p != 1:
         raise SpaceError("the Kantorovich-Rubinstein dual requires p = 1")
     n = prob.space.n

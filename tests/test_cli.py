@@ -162,6 +162,24 @@ class TestDist:
                      "-o", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == 0.0
 
+    def test_hausdorff_one_file_matches_two_file(self, tmp_path, capsys):
+        torus = tmp_path / "torus.json"
+        assert main(["gen", "randers-torus", "--b", "0.5", "--grid",
+                     repr(2 * np.pi / 5), "-o", str(torus)]) == 0  # 5 x 5
+        sets = ["--set-a", "0", "1", "--set-b", "2", "3"]
+        capsys.readouterr()
+        assert main(["dist", "hausdorff", str(torus), *sets]) == 0
+        one = capsys.readouterr().out
+        assert main(["dist", "hausdorff", str(torus), str(torus), *sets]) == 0
+        assert capsys.readouterr().out == one
+        assert json.loads(one)["value"] == 2.51327412287
+
+    @pytest.mark.parametrize("set_a", [["0", "99"], ["-1"]])
+    def test_hausdorff_index_out_of_range_exit_2(self, funk_file, capsys, set_a):
+        assert main(["dist", "hausdorff", str(funk_file),
+                     "--set-a", *set_a, "--set-b", "0"]) == 2
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestCdAndIneq:
     def test_flat_grid_all_pass(self, tmp_path, gauss_file):

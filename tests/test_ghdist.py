@@ -57,6 +57,12 @@ class TestHausdorff:
         with pytest.raises(SpaceError):
             hausdorff(space, [], [0])
 
+    @pytest.mark.parametrize("A, B", [([0, 2], [1]), ([-1], [0]), ([0], [1, -1])])
+    def test_index_out_of_range_raises(self, A, B):
+        space = QuasiMetricSpace(np.zeros((2, 2)))
+        with pytest.raises(SpaceError, match="out of range"):
+            hausdorff(space, A, B)
+
 
 class TestIsoDefect:
     def test_identical_spaces_zero(self, rng):
