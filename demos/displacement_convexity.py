@@ -43,7 +43,7 @@ print()
 
 print("entropy convexity along the interpolation (K = 0):")
 for r in cd_check(ms, mu0, mu1, K=0.0, N=np.inf, U=entropy_nonlinearity(),
-                  ts=(0.25, 0.5, 0.75), pitch=h):
+                  ts=(0.25, 0.5, 0.75)):
     print(f"  t = {r.details['t']:.2f}  slack = {r.slack:+.4f}  "
           f"passed = {r.passed}")
 print()
@@ -55,6 +55,6 @@ rho = np.exp(-0.5 * (g - 0.4) ** 2)
 rho = rho / rho.sum()
 print("Gaussian line, K = 1: functional inequalities")
 for r in functional_inequality_suite(gauss, K=1.0, N=np.inf,
-                                     mu=rho, f=f, pitch=0.1):
+                                     mu=rho, f=f):
     print(f"  {r.name:24s} lhs = {r.lhs:8.4f}  rhs = {r.rhs:8.4f}  "
           f"passed = {r.passed}")

@@ -34,7 +34,12 @@ CHECK_FAILED = 1
 
 
 def _seed_default() -> int:
-    return int(os.environ.get("QMSPACE_SEED", "0"))
+    value = os.environ.get("QMSPACE_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise core.SpaceError(
+            f"QMSPACE_SEED must be an integer, got {value!r}") from None
 
 
 def _jsonable(x):
@@ -241,7 +246,9 @@ def cmd_cd(args) -> int:
     if not ts or any(not 0.0 <= t <= 1.0 for t in ts):
         raise core.SpaceError("t values must lie in [0, 1]")
     N = float(args.N)
-    if args.mu0 is not None and args.mu1 is not None:
+    if (args.mu0 is None) != (args.mu1 is None):
+        raise core.SpaceError("--mu0 and --mu1 must be given together")
+    if args.mu0 is not None:
         mu0 = np.asarray(json.loads(args.mu0), dtype=float)
         mu1 = np.asarray(json.loads(args.mu1), dtype=float)
     else:
@@ -371,19 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize --help to 0
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         checks_needing_other = {"gh", "ghp", "prokhorov"}
         if args.command == "dist" and args.kind in checks_needing_other \
                 and args.other is None:
             raise core.SpaceError(f"dist {args.kind} needs two space files")
         return args.func(args)
-    except (core.SpaceError, FileNotFoundError, json.JSONDecodeError,
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors already; normalize --help to 0
+        return int(exc.code or 0)
+    except (core.SpaceError, OSError, json.JSONDecodeError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -283,8 +283,7 @@ def u_beta_functional(U: Nonlinearity, pi: Coupling, dist: np.ndarray,
 
 
 def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
-             U: Nonlinearity, ts,
-             pitch: float | None = None) -> list[FunctionalReport]:
+             U: Nonlinearity, ts) -> list[FunctionalReport]:
     """Displacement-convexity inequality along the canonical plan.
 
     Builds the order-2 optimal coupling of (mu0, mu1), its chain plan,
@@ -297,9 +296,7 @@ def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
     nu = mspace.weights
     mu0 = np.asarray(mu0, dtype=float)
     mu1 = np.asarray(mu1, dtype=float)
-    if pitch is None:
-        pitch = _pitch(mspace.space)
-    tol = 5.0 * pitch
+    tol = 5.0 * _pitch(mspace.space)
     space = mspace.space
 
     _, coupling = wasserstein(TransportProblem(space, mu0, mu1, 2.0))
@@ -350,8 +347,7 @@ def _barycenter_set(mspace: MeasuredSpace, A0, A1, t: float):
 
 
 def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
-                          K: float, N: float,
-                          pitch: float | None = None) -> FunctionalReport:
+                          K: float, N: float) -> FunctionalReport:
     """Interpolated-set measure bound from displacement convexity.
 
     For finite N compares nu[[A0,A1]_t]^(1/N) with the distorted convex
@@ -360,8 +356,6 @@ def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
     """
     if not 0.0 < t < 1.0:
         raise SpaceError("t must lie strictly between 0 and 1")
-    if pitch is None:
-        pitch = _pitch(mspace.space)
     bary, A0, A1 = _barycenter_set(mspace, A0, A1, t)
     nu = mspace.weights
     d = mspace.space.dist
@@ -369,7 +363,7 @@ def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
     m_0 = float(nu[A0].sum())
     m_1 = float(nu[A1].sum())
     pair_d = d[np.ix_(A0, A1)]
-    tol = 5.0 * pitch
+    tol = 5.0 * _pitch(mspace.space)
     details = {"barycenter_set": bary, "nu_t": m_t, "nu_0": m_0, "nu_1": m_1}
 
     if N == INF:
@@ -415,7 +409,7 @@ def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
 
 
 def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
-                          radii, pitch: float | None = None) -> FunctionalReport:
+                          radii) -> FunctionalReport:
     """Ball-mass profile against the model-volume normalizer.
 
     f(r) = nu[closed forward ball](r) / integral_0^r s_kn(t)^(N-1) dt
@@ -427,8 +421,6 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise SpaceError("radii must be increasing")
-    if pitch is None:
-        pitch = _pitch(mspace.space)
     if K > 0:
         cutoff = math.pi * math.sqrt((N - 1) / K)
         if radii[-1] > cutoff:
@@ -447,7 +439,7 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
             if err > 1e-8:
                 raise SpaceError("model volume quadrature did not converge")
         profile.append(mass / denom if denom > 0 else INF)
-    tol = 3.0 * pitch
+    tol = 3.0 * _pitch(mspace.space)
     worst = 0.0
     for a, b in zip(profile, profile[1:]):
         if a > 0:
@@ -500,8 +492,7 @@ def fisher_information(mspace: MeasuredSpace, rho,
 
 
 def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
-                                mu=None, f=None,
-                                pitch: float | None = None) -> list[FunctionalReport]:
+                                mu=None, f=None) -> list[FunctionalReport]:
     """Functional-inequality consequences of the curvature bound.
 
     Runs whichever checks the inputs allow: the diameter gate (K > 0,
@@ -513,8 +504,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
     """
     ms = mspace.normalized()
     nu = ms.weights
-    if pitch is None:
-        pitch = _pitch(ms.space)
+    pitch = _pitch(ms.space)
     neighbor_radius = 1.5 * pitch
     reports = []
 

@@ -43,6 +43,7 @@ linprog = _OnFirstCall("scipy.optimize").linprog
 MARGINAL_TOL = 1e-9
 MASS_TOL = 1e-12
 DUALITY_TOL = 1e-7
+CHAIN_TOL = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,6 @@ class DynamicalPlan:
     space: QuasiMetricSpace
     coupling: Coupling
     chains: dict  # (i, j) -> tuple of point indices
-    chain_tol: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +107,11 @@ class Interpolation:
 
 
 def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
-    """Exact transportation LP; returns (optimal value, plan matrix)."""
+    """Exact transportation LP; returns (optimal value, plan matrix, psi).
+
+    psi is the c-transform of the row duals u over every column,
+    psi[j] = min over rows with mass of cost[i, j] - u[i].
+    """
     from scipy.sparse import eye, kron, vstack
 
     keep_r = np.nonzero(mu > 0)[0]
@@ -141,7 +145,8 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
     plan = np.zeros_like(cost)
     plan[np.ix_(keep_r, keep_c)] = plan_small
-    return float(res.fun), plan
+    psi = (cost[keep_r] - u[:, None]).min(axis=0)
+    return float(res.fun), plan, psi
 
 
 def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:
@@ -149,7 +154,7 @@ def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:
     if np.allclose(prob.mu, prob.nu, atol=MASS_TOL):
         return 0.0, Coupling(np.diag(prob.mu), prob.mu, prob.nu)
     cost = prob.space.dist ** prob.p
-    value, plan = _solve_lp(cost, prob.mu, prob.nu)
+    value, plan, _ = _solve_lp(cost, prob.mu, prob.nu)
     # clean tiny negative / marginal drift from the solver
     plan = np.maximum(plan, 0.0)
     return float(max(value, 0.0) ** (1.0 / prob.p)), Coupling(plan, prob.mu, prob.nu)
@@ -158,30 +163,27 @@ def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:
 def kr_dual(prob: TransportProblem) -> tuple[float, np.ndarray]:
     """Kantorovich-Rubinstein dual of an order-1 problem.
 
-    Maximizes sum(psi * nu) - sum(psi * mu) over potentials with
-    psi[j] - psi[i] <= d(i, j); strong duality makes the optimum equal
-    the primal distance.
+    The potential psi is the c-transform of the transport LP's row
+    duals, shifted so that psi[0] = 0, and the value is
+    sum(psi * (nu - mu)).  psi is 1-Lipschitz only when d satisfies the
+    triangle inequality, so the answer is certified before it is
+    returned: psi[j] - psi[i] <= d(i, j) on every pair, and the value
+    equals the primal optimum, both to DUALITY_TOL times the largest
+    distance.  Otherwise SpaceError is raised.
     """
-    from scipy.sparse import csr_matrix
-
     if prob.p != 1:
         raise SpaceError("the Kantorovich-Rubinstein dual requires p = 1")
-    n = prob.space.n
-    i, j = np.nonzero(~np.eye(n, dtype=bool))  # one row per ordered pair
-    r = len(i)
-    rows = np.repeat(np.arange(r), 2)
-    cols = np.column_stack([j, i]).ravel()  # psi[j] - psi[i] <= d(i, j)
-    A_ub = csr_matrix((np.tile([1.0, -1.0], r), (rows, cols)), shape=(r, n))
-    obj = -(prob.nu - prob.mu)  # linprog minimizes
-    res = linprog(
-        obj, A_ub=A_ub, b_ub=prob.space.dist[i, j],
-        bounds=(None, None), method="highs",
-    )
-    if not res.success:
-        raise SpaceError(f"dual LP failed: {res.message}")
-    psi = np.asarray(res.x)
+    d = prob.space.dist
+    primal, _, psi = _solve_lp(d, prob.mu, prob.nu)
     psi -= psi[0]  # fix the constant gauge
-    return float(-res.fun), psi
+    dual = float(psi @ (prob.nu - prob.mu))
+    tol = DUALITY_TOL * d.max()
+    violation = (psi[None, :] - psi[:, None] - d).max()
+    if violation > tol:
+        raise SpaceError(f"dual potential violates a constraint by {violation:.3g}")
+    if abs(dual - primal) > tol:
+        raise SpaceError(f"dual value {dual:.12g} differs from primal {primal:.12g}")
+    return dual, psi
 
 
 def asymmetry_bound_check(mspace: MeasuredSpace, mu, nu, p: float, q: float,
@@ -227,22 +229,20 @@ def default_hop_radius(space: QuasiMetricSpace) -> float:
     return 1.5 * _pitch(space)
 
 
-def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling,
-                   chain_tol: float = 0.5,
-                   hop_radius: float | None = None) -> DynamicalPlan:
+def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling) -> DynamicalPlan:
     """Attach a near-shortest directed chain to every support pair.
 
-    Chains live on the hop graph of forward distances below hop_radius;
-    a pair whose best chain exceeds d(i, j) * (1 + chain_tol) means the
-    sampling is not approximately geodesic at this resolution and raises.
+    Chains live on the hop graph of forward distances below
+    default_hop_radius(space); a pair whose best chain exceeds
+    d(i, j) * (1 + CHAIN_TOL) means the sampling is not approximately
+    geodesic at this resolution and raises.
     """
-    if hop_radius is None:
-        hop_radius = default_hop_radius(space)
     d = space.dist
     pi = coupling.matrix
     sources = np.nonzero(pi.sum(axis=1) > MASS_TOL)[0]
-    dist_out, pred = dijkstra(_hop_graph(d, hop_radius), directed=True,
-                              indices=sources, return_predecessors=True)
+    graph = _hop_graph(d, default_hop_radius(space))
+    dist_out, pred = dijkstra(graph, directed=True, indices=sources,
+                              return_predecessors=True)
     chains = {}
     for si, i in enumerate(sources):
         for j in np.nonzero(pi[i] > MASS_TOL)[0]:
@@ -250,7 +250,7 @@ def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling,
                 chains[(int(i), int(j))] = (int(i),)
                 continue
             length = dist_out[si, j]
-            if not np.isfinite(length) or length > d[i, j] * (1 + chain_tol) + MASS_TOL:
+            if not np.isfinite(length) or length > d[i, j] * (1 + CHAIN_TOL) + MASS_TOL:
                 raise SpaceError(
                     f"no chain from {i} to {j} within tolerance: best "
                     f"{length:.6g} vs direct {d[i, j]:.6g}"
@@ -259,7 +259,7 @@ def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling,
             while path[-1] != i:
                 path.append(int(pred[si, path[-1]]))
             chains[(int(i), int(j))] = tuple(reversed(path))
-    return DynamicalPlan(space, coupling, chains, chain_tol)
+    return DynamicalPlan(space, coupling, chains)
 
 
 def _chain_vertices(d: np.ndarray, chain: tuple, ts) -> list:

@@ -242,7 +242,7 @@ def test_07_convexity_certificates_on_flat_grids():
             mu0, mu1 = smooth_density_pair(ms, seed)
             for U, N in cases:
                 reports = cd_check(ms, mu0, mu1, K=0.0, N=N, U=U,
-                                   ts=(0.25, 0.5, 0.75), pitch=h)
+                                   ts=(0.25, 0.5, 0.75))
                 for rep in reports:
                     assert rep.passed
                     assert rep.slack >= -5 * h - 1e-12
@@ -257,8 +257,7 @@ def test_08_gaussian_line_curvature_and_inequalities():
     ms = gaussian_line(K=1.0, half_width=2.5, pitch=0.1)
     mu0, mu1 = smooth_density_pair(ms, 4)
     reports = cd_check(ms, mu0, mu1, K=1.0, N=np.inf,
-                       U=entropy_nonlinearity(), ts=(0.25, 0.5, 0.75),
-                       pitch=0.1)
+                       U=entropy_nonlinearity(), ts=(0.25, 0.5, 0.75))
     for rep in reports:
         assert rep.passed
         assert rep.slack >= -0.5 - 1e-12
@@ -269,7 +268,7 @@ def test_08_gaussian_line_curvature_and_inequalities():
         f = a * xs + b * np.sin(xs) + c * xs ** 2 / 4
         mu = smooth_density_pair(ms, seed)[0]
         reports = functional_inequality_suite(ms, K=1.0, N=np.inf,
-                                              mu=mu, f=f, pitch=0.1)
+                                              mu=mu, f=f)
         names = " ".join(rep.name for rep in reports)
         assert "log_sobolev" in names and "poincare" in names
         for rep in reports:

@@ -110,6 +110,10 @@ class TestValidate:
     def test_missing_file_exit_2(self):
         assert main(["validate", "/does/not/exist.json"]) == 2
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDist:
     def test_w_matches_library(self, tmp_path):
@@ -200,6 +204,14 @@ class TestCdAndIneq:
         assert main(["cd-check", str(gauss_file), "--K", "0",
                      "--U", "bogus"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--mu0", "--mu1"])
+    def test_one_endpoint_measure_exit_2(self, gauss_file, capsys, flag):
+        n = len(json.loads(gauss_file.read_text())["dist"])
+        weights = json.dumps([1.0 / n] * n)
+        assert main(["cd-check", str(gauss_file), "--K", "0",
+                     flag, weights]) == 2
+        assert "--mu0 and --mu1 must be given together" in capsys.readouterr().err
+
     def test_ineq_gaussian_log_sobolev(self, tmp_path, gauss_file):
         out = tmp_path / "ineq.json"
         code = main(["ineq", str(gauss_file), "--K", "1",
@@ -228,6 +240,11 @@ class TestReport:
         assert main(["report", str(funk_file), "-o", str(a)]) == 0
         assert main(["report", str(funk_file), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_seed_variable_exit_2(self, gauss_file, monkeypatch, capsys):
+        monkeypatch.setenv("QMSPACE_SEED", "abc")
+        assert main(["report", str(gauss_file)]) == 2
+        assert "QMSPACE_SEED must be an integer" in capsys.readouterr().err
 
     def test_csv_format(self, tmp_path, gauss_file):
         out = tmp_path / "r.csv"

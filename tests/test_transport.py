@@ -109,6 +109,43 @@ def test_kr_dual_requires_order_one(rng):
         kr_dual(TransportProblem(space, mu, mu, 2.0))
 
 
+def test_kr_dual_raises_when_triangle_inequality_fails():
+    # d(0, 2) = 5 > d(0, 1) + d(1, 2) = 2: the primal is 5, the best
+    # 1-Lipschitz potential gives 2, so no potential certifies the value
+    space = QuasiMetricSpace(np.array([[0.0, 1.0, 5.0],
+                                       [1.0, 0.0, 1.0],
+                                       [5.0, 1.0, 0.0]]))
+    prob = TransportProblem(space, np.array([1.0, 0.0, 0.0]),
+                            np.array([0.0, 0.0, 1.0]), 1.0)
+    assert wasserstein(prob)[0] == pytest.approx(5.0)
+    with pytest.raises(SpaceError, match="violates a constraint"):
+        kr_dual(prob)
+
+
+def test_kr_dual_sparse_marginals(rng):
+    for _ in range(20):
+        space = random_quasi_metric(rng, 8)
+        mu = rng.random(8) * (rng.random(8) < 0.4)
+        nu = rng.random(8) * (rng.random(8) < 0.4)
+        mu[0] += 0.1  # at least one atom each
+        nu[-1] += 0.1
+        mu /= mu.sum()
+        nu /= nu.sum()
+        primal, _ = wasserstein(TransportProblem(space, mu, nu, 1.0))
+        dual, psi = kr_dual(TransportProblem(space, mu, nu, 1.0))
+        assert abs(primal - dual) <= 1e-7
+        assert psi[0] == 0.0
+        assert (psi[None, :] - psi[:, None] - space.dist).max() <= 1e-9
+
+
+def test_kr_dual_identical_marginals_zero(rng):
+    space = random_quasi_metric(rng, 5)
+    mu = rng.random(5)
+    mu /= mu.sum()
+    dual, _ = kr_dual(TransportProblem(space, mu, mu, 1.0))
+    assert dual == 0.0
+
+
 class TestCoupling:
     def test_marginals_checked(self):
         with pytest.raises(SpaceError):
@@ -143,12 +180,31 @@ class TestDynamicalPlan:
             assert length <= d[i, j] * 1.5 + 1e-9
 
     def test_disconnected_support_raises(self):
-        d = np.array([[0.0, 10.0], [10.0, 0.0]])
+        # one-way: point 2 reaches 0 and 1 in one unit, nothing reaches 2
+        # within the default hop radius 1.5
+        d = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 10.0], [1.0, 1.0, 0.0]])
         space = QuasiMetricSpace(d)
-        coupling = Coupling(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                            np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        with pytest.raises(SpaceError, match="no chain"):
-            dynamical_plan(space, coupling, hop_radius=1.0)
+        mu = np.array([1.0, 0.0, 0.0])
+        nu = np.array([0.0, 0.0, 1.0])
+        coupling = Coupling(np.outer(mu, nu), mu, nu)
+        with pytest.raises(SpaceError, match="no chain from 0 to 2"):
+            dynamical_plan(space, coupling)
+
+    def test_chain_too_long_raises(self):
+        # 12 points on the unit circle with chordal distances: only
+        # neighbours are hops, so 0 -> 6 takes 6 chords of 2 sin(pi/12),
+        # 3.106 against a direct 2 and the allowed 2 * 1.5
+        angles = 2 * np.pi * np.arange(12) / 12
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        space = QuasiMetricSpace(d)
+        mu = np.zeros(12)
+        nu = np.zeros(12)
+        mu[0] = nu[6] = 1.0
+        coupling = Coupling(np.outer(mu, nu), mu, nu)
+        with pytest.raises(SpaceError,
+                           match="within tolerance: best 3.10583 vs direct 2"):
+            dynamical_plan(space, coupling)
 
     def test_default_hop_radius(self):
         ms = euclidean_grid_1d(0.2)
