@@ -39,8 +39,6 @@ __all__ = [
 #: exact covering/capacity search is limited to this many points
 EXACT_SEARCH_LIMIT = 12
 
-#: default triangle tolerance for closed-form model matrices
-MODEL_TOL = 1e-9
 #: default triangle tolerance for user-supplied matrices
 USER_TOL = 1e-6
 
@@ -196,11 +194,11 @@ class BallSpec:
 @dataclass
 class ValidationReport:
     valid: bool
+    tol: float
     triangle_violations: list = field(default_factory=list)
     zero_offdiagonal: list = field(default_factory=list)
     negative_entries: list = field(default_factory=list)
     nonzero_diagonal: list = field(default_factory=list)
-    tol: float = MODEL_TOL
 
 
 @dataclass
@@ -317,8 +315,6 @@ def path_length(space: QuasiMetricSpace, path) -> float:
     p = list(path)
     if not p:
         raise SpaceError("empty path has no length")
-    if len(p) == 1:
-        return 0.0
     return float(sum(space.dist[a, b] for a, b in zip(p, p[1:])))
 
 
@@ -333,6 +329,8 @@ def _hop_graph(d: np.ndarray, radius: float):
 
 def _pitch(space: QuasiMetricSpace) -> float:
     """Largest nearest-out-neighbor distance: the sampling pitch."""
+    if space.n < 2:
+        raise SpaceError("the sampling pitch needs at least 2 points")
     d = space.dist + np.diag(np.full(space.n, np.inf))
     return float(d.min(axis=1).max())
 
@@ -458,10 +456,12 @@ def doubling_constant(mspace: MeasuredSpace, radii) -> DoublingReport:
     Scans every center and every radius in ``radii``.  A zero-mass
     denominator ball makes the constant infinite, with a witness.
     """
+    if not len(radii):
+        raise SpaceError("doubling constant needs at least one radius")
     d = mspace.space.dist
     w = mspace.weights
     best = 0.0
-    witness = (0, float(radii[0]) if len(radii) else 0.0)
+    witness = (0, float(radii[0]))
     for r in radii:
         if r <= 0:
             raise SpaceError("radii must be positive")

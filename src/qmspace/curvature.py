@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 INF = math.inf
+#: grid tolerance of dcn_membership
+DCN_TOL = 1e-12
 
 
 def s_kn(K: float, N: float, r: float) -> float:
@@ -181,8 +183,7 @@ def power_nonlinearity(m: float) -> Nonlinearity:
     )
 
 
-def dcn_membership(U: Nonlinearity, N: float, r_grid,
-                   tol: float = 1e-12) -> FunctionalReport:
+def dcn_membership(U: Nonlinearity, N: float, r_grid) -> FunctionalReport:
     """Check membership of U in the dimensional class for this N.
 
     Requires U(0+) -> 0, convexity (p2 + p >= 0 on the grid, since
@@ -200,17 +201,17 @@ def dcn_membership(U: Nonlinearity, N: float, r_grid,
     if not all(np.isfinite(u_small)) or not (
             u_small[2] <= u_small[1] <= u_small[0] and u_small[2] < 1e-3):
         raise SpaceError(f"{U.name}: U does not vanish at 0")
-    if np.min(p2 + p) < -tol:
+    if np.min(p2 + p) < -DCN_TOL:
         raise SpaceError(f"{U.name}: U is not convex on the grid")
     inv = 0.0 if N == INF else 1.0 / N
     cond1 = p2 + (0.0 if N == INF else p / N)
     ratio = p / rs ** (1 - inv)
     mono_defect = float(np.max(np.maximum(ratio[:-1] - ratio[1:], 0.0)))
     worst = float(np.min(cond1))
-    passed = worst >= -tol and mono_defect <= math.sqrt(tol)
+    passed = worst >= -DCN_TOL and mono_defect <= math.sqrt(DCN_TOL)
     return FunctionalReport(
         name=f"dcn_membership[{U.name},N={N}]",
-        lhs=-worst, rhs=0.0, slack=worst, passed=passed, tolerance=tol,
+        lhs=-worst, rhs=0.0, slack=worst, passed=passed, tolerance=DCN_TOL,
         details={"min_p2_plus_p_over_N": worst, "monotonicity_defect": mono_defect},
     )
 

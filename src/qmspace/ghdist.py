@@ -43,6 +43,9 @@ EXACT_MAP_LIMIT = 1_000_000
 LOCAL_SEARCH_RESTARTS = 32
 LOCAL_SEARCH_ITER_FACTOR = 200
 
+#: Prokhorov bisection width and feasibility slack
+PROKHOROV_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class PointMap:
@@ -166,7 +169,6 @@ def iso_defect(X: QuasiMetricSpace, Y: QuasiMetricSpace,
         for _ in range(max_iter):
             improved = False
             for i in range(m):
-                old = a[i]
                 cand = np.repeat(a[None], n, axis=0)
                 cand[:, i] = np.arange(n)
                 defects = _map_defect(dx, dy, cand)
@@ -176,7 +178,6 @@ def iso_defect(X: QuasiMetricSpace, Y: QuasiMetricSpace,
                     cur = float(defects[k])
                     improved = True
                     break
-                a[i] = old
             if not improved:
                 break
         if cur < best:
@@ -237,7 +238,7 @@ def _excess(d: np.ndarray, mu: np.ndarray, nu: np.ndarray, eps: float) -> float:
     return float(mu.sum() - flow)
 
 
-def prokhorov(space: QuasiMetricSpace, mu, nu, tol: float = 1e-9) -> float:
+def prokhorov(space: QuasiMetricSpace, mu, nu) -> float:
     """Prokhorov distance between two finite measures on one space.
 
     Binary search over eps; feasibility of one eps is an exact min-cut
@@ -249,21 +250,20 @@ def prokhorov(space: QuasiMetricSpace, mu, nu, tol: float = 1e-9) -> float:
         raise SpaceError("measures must be nonnegative")
     if mu.shape != (space.n,) or nu.shape != (space.n,):
         raise SpaceError("weight vectors must match the space size")
-    if np.allclose(mu, nu, atol=tol):
+    if np.allclose(mu, nu, atol=PROKHOROV_TOL):
         return 0.0
     d = space.dist
 
     def feasible(eps):
         return (
-            _excess(d, mu, nu, eps) <= eps + tol
-            and _excess(d, nu, mu, eps) <= eps + tol
+            _excess(d, mu, nu, eps) <= eps + PROKHOROV_TOL
+            and _excess(d, nu, mu, eps) <= eps + PROKHOROV_TOL
         )
 
-    hi = max(float(d.max()), float(mu.sum()), float(nu.sum()), tol)
-    if not feasible(hi):
-        hi *= 2.0
+    # feasible: each excess is at most the total mass, hence at most hi
+    hi = max(float(d.max()), float(mu.sum()), float(nu.sum()), PROKHOROV_TOL)
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > PROKHOROV_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -290,7 +290,7 @@ def _glue(X: QuasiMetricSpace, Y: QuasiMetricSpace,
 
 
 def ghp_upper(X: MeasuredSpace, Y: MeasuredSpace, theta: float,
-              seed: int = 0, tol: float = 1e-9) -> float:
+              seed: int = 0) -> float:
     """Upper bound on the measured-space distance via an explicit gluing.
 
     Builds the admissible gluing from the better epsilon-isometry
@@ -307,6 +307,6 @@ def ghp_upper(X: MeasuredSpace, Y: MeasuredSpace, theta: float,
         dh = hausdorff(glued, idx_a, idx_b)
         mu = np.concatenate([A.weights, np.zeros(B.n)])
         nu = np.concatenate([np.zeros(m), B.weights])
-        dp = prokhorov(glued, mu, nu, tol=tol)
+        dp = prokhorov(glued, mu, nu)
         best = min(best, dh + dp)
     return float(best)

@@ -30,6 +30,9 @@ __all__ = [
     "write_atomic",
 ]
 
+#: plan entries at or below this mass are left out of plan_triplets
+PLAN_TOL = 1e-15
+
 
 def fmt(x) -> str:
     """Render a number with 12 significant digits (diffable reports)."""
@@ -156,7 +159,7 @@ def save_problem(path: str, problem: TransportProblem):
     write_atomic(path, json.dumps(obj, indent=1) + "\n")
 
 
-def plan_triplets(plan: np.ndarray, atol: float = 1e-15):
+def plan_triplets(plan: np.ndarray):
     """Sparse (i, j, mass) triplets of a coupling matrix."""
-    rows, cols = np.nonzero(plan > atol)
+    rows, cols = np.nonzero(plan > PLAN_TOL)
     return [(int(i), int(j), float(plan[i, j])) for i, j in zip(rows, cols)]

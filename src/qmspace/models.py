@@ -74,9 +74,6 @@ class FunkBall:
         if self.dim < 2:
             raise SpaceError("Funk ball dimension must be >= 2")
 
-    def distance(self, p, q) -> float:
-        return funk_distance(p, q)
-
     def distance_matrix(self, pts: np.ndarray) -> np.ndarray:
         return _funk_distance_matrix(pts)
 
@@ -118,9 +115,6 @@ class RandersTorus:
             raise SpaceError("drift strength b must lie in [0, 1)")
         if self.dim < 2:
             raise SpaceError("torus dimension must be >= 2")
-
-    def distance(self, p, q) -> float:
-        return randers_torus_distance(self, p, q)
 
     def distance_matrix(self, pts: np.ndarray) -> np.ndarray:
         delta = pts[None, :, :] - pts[:, None, :]
@@ -177,9 +171,6 @@ class RandersBall:
     @property
     def drift(self) -> np.ndarray:
         return np.asarray(self.a, dtype=float)
-
-    def distance(self, p, q) -> float:
-        return randers_ball_distance(self, p, q)
 
     def distance_matrix(self, pts: np.ndarray) -> np.ndarray:
         pot = np.log1p(pts @ self.drift)

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from qmspace import QuasiMetricSpace, TransportProblem, wasserstein
+from qmspace import (
+    QuasiMetricSpace,
+    TransportProblem,
+    cd_check,
+    entropy_nonlinearity,
+    ghp_upper,
+    wasserstein,
+)
 from qmspace.cli import main
 from qmspace.io import (
     fmt,
@@ -88,6 +95,20 @@ class TestGen:
         assert main(args + ["-o", str(a)]) == 0
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_randers_ball_drift(self, tmp_path):
+        path = tmp_path / "rb.json"
+        assert main(["gen", "randers-ball", "--a", "0.1", "0.2", "--grid",
+                     "0.3", "-o", str(path)]) == 0
+        assert json.loads(path.read_text())["metadata"]["a"] == [0.1, 0.2]
+        assert main(["validate", str(path)]) == 0
+
+    def test_randers_ball_drift_length_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "rb.json"
+        assert main(["gen", "randers-ball", "--a", "0.1", "--grid", "0.3",
+                     "-o", str(path)]) == 2
+        assert "drift vector length must equal --dim" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["gen", "randers-torus", "--b", "1.5", "--grid", "1.0",
@@ -178,6 +199,19 @@ class TestDist:
         assert capsys.readouterr().out == one
         assert json.loads(one)["value"] == 2.51327412287
 
+    def test_ghp_tori_matches_library(self, tmp_path):
+        files = []
+        for b in ("0.5", repr(1 / 3)):
+            files.append(str(tmp_path / f"torus{len(files)}.json"))
+            assert main(["gen", "randers-torus", "--b", b, "--grid",
+                         repr(2 * np.pi / 3), "-o", files[-1]]) == 0  # 3 x 3
+        out = tmp_path / "ghp.json"
+        assert main(["dist", "ghp", *files, "--theta", "3",
+                     "-o", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        want = ghp_upper(load_space(files[0]), load_space(files[1]), 3.0)
+        assert rep == {"kind": "ghp", "theta": 3.0, "upper": float(fmt(want))}
+
     @pytest.mark.parametrize("set_a", [["0", "99"], ["-1"]])
     def test_hausdorff_index_out_of_range_exit_2(self, funk_file, capsys, set_a):
         assert main(["dist", "hausdorff", str(funk_file),
@@ -195,6 +229,31 @@ class TestCdAndIneq:
         rep = json.loads(out.read_text())
         assert len(rep) == 3
         assert all(r["passed"] for r in rep)
+
+    @pytest.mark.parametrize("U, N, name", [("U2", "2", "U_2"),
+                                            ("P2", "inf", "Power_2")])
+    def test_nonlinearity_flags(self, tmp_path, gauss_file, U, N, name):
+        out = tmp_path / "cd.json"
+        assert main(["cd-check", str(gauss_file), "--K", "0", "--N", N,
+                     "--U", U, "-o", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert [r["name"] for r in rep] == [
+            f"cd[{name},K=0.0,N={float(N)},t={t}]" for t in (0.25, 0.5, 0.75)]
+
+    def test_given_endpoint_measures(self, tmp_path, gauss_file):
+        ms = load_space(str(gauss_file)).normalized()
+        mu0 = np.linspace(1.0, 2.0, ms.n)
+        mu0 /= mu0.sum()
+        mu1 = mu0[::-1].copy()
+        out = tmp_path / "cd.json"
+        assert main(["cd-check", str(gauss_file), "--K", "0",
+                     "--mu0", json.dumps(mu0.tolist()),
+                     "--mu1", json.dumps(mu1.tolist()), "-o", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        want = cd_check(ms, mu0, mu1, 0.0, np.inf, entropy_nonlinearity(),
+                        [0.25, 0.5, 0.75])
+        assert [r["lhs"] for r in rep] == [float(fmt(w.lhs)) for w in want]
+        assert [r["rhs"] for r in rep] == [float(fmt(w.rhs)) for w in want]
 
     def test_bad_t_exit_2(self, gauss_file):
         assert main(["cd-check", str(gauss_file), "--K", "0",

@@ -270,6 +270,11 @@ class TestDoubling:
         assert rep.constant == np.inf
         assert rep.witness_point == 0
 
+    def test_no_radii_raises(self):
+        ms = MeasuredSpace(line_space([0.0, 1.0]), np.ones(2))
+        with pytest.raises(SpaceError, match="at least one radius"):
+            doubling_constant(ms, [])
+
 
 class TestThetaBound:
     def test_step_lookup(self):

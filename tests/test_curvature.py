@@ -173,6 +173,20 @@ class TestFunctionals:
                                 "reversed")
         assert rev == pytest.approx(u_functional(U, nu_target, ref), abs=1e-9)
 
+    def test_reversed_singular_mass_conventions(self):
+        # the target marginal puts mass 0.5 on the nu-null atom 1
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        nu = np.array([1.0, 0.0])
+        mu0 = np.array([1.0, 0.0])
+        mu1 = np.array([0.5, 0.5])
+        pi = Coupling(np.outer(mu0, mu1), mu0, mu1)
+        params = DistortionParams(0.0, 2.0, 0.5)
+        assert u_beta_functional(entropy_nonlinearity(), pi, d, nu, params,
+                                 "reversed") == INF
+        U = un_nonlinearity(2.0)
+        got = u_beta_functional(U, pi, d, nu, params, "reversed")
+        assert got == pytest.approx(U.u(0.5) + U.du_inf * 0.5)
+
     def test_distorted_functional_direction_validated(self):
         ms = euclidean_grid_1d(0.5)
         mu = np.zeros(ms.n)
@@ -233,6 +247,13 @@ class TestCdCheck:
             assert r.details["certificate"] == "no certificate"
             assert "violation" not in str(r.details)
 
+    def test_one_point_space_raises(self):
+        # no out-neighbour, so no pitch and no finite tolerance
+        ms = MeasuredSpace(QuasiMetricSpace(np.zeros((1, 1))), np.ones(1))
+        with pytest.raises(SpaceError, match="at least 2 points"):
+            cd_check(ms, [1.0], [1.0], 0.0, INF, entropy_nonlinearity(),
+                     [0.5])
+
 
 class TestBrunnMinkowski:
     def test_one_dimensional_intervals(self):
@@ -284,6 +305,22 @@ class TestBishopGromov:
         for r, val in zip(radii, rep.details["profile"]):
             mass = ms.weights[d <= r].sum()
             assert val == pytest.approx(mass / (r ** 2 / 2.0))
+
+    @pytest.mark.parametrize("K, volume", [
+        # N = 3: s_kn^2 integrates in closed form
+        (1.0, lambda r: r - math.sin(math.sqrt(2) * r) / math.sqrt(2)),
+        (-1.0, lambda r: math.sinh(math.sqrt(2) * r) / math.sqrt(2) - r),
+    ])
+    def test_curved_model_volume(self, K, volume):
+        ms = euclidean_grid_2d(0.25)
+        center = int(np.argmin(
+            np.linalg.norm(ms.space.coords - [0.5, 0.5], axis=1)))
+        radii = [0.3, 0.45]
+        rep = bishop_gromov_profile(ms, center, K, 3.0, radii)
+        d = ms.space.dist[center]
+        for r, val in zip(radii, rep.details["profile"]):
+            mass = ms.weights[d <= r].sum()
+            assert val == pytest.approx(mass / volume(r), rel=1e-9)
 
     def test_radii_must_increase(self):
         ms = euclidean_grid_2d(0.25)
