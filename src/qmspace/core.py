@@ -244,8 +244,15 @@ def validate(space: QuasiMetricSpace, tol: float = USER_TOL) -> ValidationReport
         else:
             report.zero_offdiagonal.append((int(i), int(j)))
 
-    # d[i,k] <= min_j (d[i,j] + d[j,k]); vectorized over k per source row
+    # short[i] = max_k (d[i,k] - min_j (d[i,j] + d[j,k])).  Rounded
+    # subtraction is monotone, so short[i] > tol exactly when some triple
+    # of row i has slack > tol; only those rows are enumerated.
+    through = np.empty_like(d)
+    short = np.empty(n)
     for i in range(n):
+        np.add(d[i][:, None], d, out=through)
+        short[i] = (d[i] - through.min(axis=0)).max()
+    for i in np.nonzero(short > tol)[0]:
         through = d[i][:, None] + d  # through[j,k] = d(i,j)+d(j,k)
         slack = d[i][None, :] - through
         bad = np.nonzero(slack > tol)

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from qmspace import ghdist
+
 
 def polytope_vertex_minimum(cost, mu, nu):
     """Transportation-polytope oracle: every vertex of the polytope is a
@@ -106,3 +108,71 @@ def brute_prokhorov(space, mu, nu, tol=1e-9):
         else:
             lo = mid
     return hi
+
+
+def bisect_prokhorov(space, mu, nu):
+    """The bisection of ``ghdist.prokhorov`` without its memo: every step
+    solves the flow of each inequality it checks with ``ghdist._excess``."""
+    tol = ghdist.PROKHOROV_TOL
+    d = space.dist
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if np.allclose(mu, nu, rtol=0, atol=tol):
+        return 0.0
+    lo, hi = 0.0, max(float(d.max()), float(mu.sum()), float(nu.sum()), tol)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (ghdist._excess(d, mu, nu, mid) <= mid + tol
+                and ghdist._excess(d, nu, mu, mid) <= mid + tol):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def rescoring_iso_defect(X, Y, seed=0):
+    """The local search of ``ghdist.iso_defect`` with every candidate map
+    scored in full: (defect, assignment) of the best start."""
+    dx, dy = X.dist, Y.dist
+    m, n = X.n, Y.n
+
+    def defects(maps):
+        sub = dy[maps[:, :, None], maps[:, None, :]]
+        dis = np.abs(sub - dx[None, :, :]).reshape(len(maps), -1).max(axis=1)
+        cover = dy[maps, :].min(axis=1).max(axis=1)
+        return np.maximum(dis, cover)
+
+    rng = np.random.default_rng(seed)
+    starts = [ghdist._eccentricity_start(dx, dy)]
+    if m <= n:
+        starts.append(np.arange(m))
+    while len(starts) < ghdist.LOCAL_SEARCH_RESTARTS:
+        starts.append(rng.integers(0, n, size=m))
+    best, best_a = np.inf, starts[0]
+    for a0 in starts:
+        a = np.array(a0, dtype=int)
+        cur = float(defects(a[None])[0])
+        for _ in range(ghdist.LOCAL_SEARCH_ITER_FACTOR * m):
+            for i in range(m):
+                cand = np.repeat(a[None], n, axis=0)
+                cand[:, i] = np.arange(n)
+                scores = defects(cand)
+                k = int(np.argmin(scores))
+                if scores[k] < cur - 1e-15:
+                    a[i], cur = k, float(scores[k])
+                    break
+            else:
+                break
+        if cur < best:
+            best, best_a = cur, a.copy()
+    return best, best_a
+
+
+def row_scan_triangle_violations(d, tol):
+    """Every (i, j, k) with d(i,k) - (d(i,j) + d(j,k)) > tol, scanning each
+    source row in full, in row-major order."""
+    out = []
+    for i in range(len(d)):
+        slack = d[i][None, :] - (d[i][:, None] + d)
+        out.extend((i, int(j), int(k)) for j, k in zip(*np.nonzero(slack > tol)))
+    return out

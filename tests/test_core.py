@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_quasi_metric
+from oracles import row_scan_triangle_violations
 from qmspace import (
     BallSpec,
     MeasuredSpace,
@@ -88,6 +89,30 @@ class TestValidate:
                 expected.add((i, j, k))
         assert set(rep.triangle_violations) == expected
         assert expected  # the plant actually broke something
+
+    def test_certified_rows_keep_the_full_scan_list(self):
+        # on integer line distances every sum is exact: row 2 falls short
+        # by exactly tol (not listed), row 3 by one ulp more (listed)
+        n, tol = 8, 0.25
+        d = line_space(np.arange(n)).dist.copy()
+        d[0, 3] += 2.0
+        d[4, 6] += 1.0
+        d[n - 1, 2] += 3.0
+        d[2, 5] += tol
+        d[3, 6] = np.nextafter(d[3, 6] + tol, np.inf)
+        rep = validate(QuasiMetricSpace(d), tol=tol)
+        expected = row_scan_triangle_violations(d, tol)
+        assert rep.triangle_violations == expected
+        rows = {i for i, _, _ in expected}
+        assert rows == {0, 3, 4, n - 1}
+        assert (3, 5, 6) in expected
+
+    def test_violation_list_order_on_random_breaks(self, rng):
+        for n in (1, 2, 5, 9):
+            d = random_quasi_metric(rng, n).dist.copy()
+            d[rng.integers(0, n, size=3), rng.integers(0, n, size=3)] *= 1.7
+            rep = validate(QuasiMetricSpace(d), tol=1e-9)
+            assert rep.triangle_violations == row_scan_triangle_violations(d, 1e-9)
 
 
 class TestReversibility:

@@ -20,7 +20,12 @@ from qmspace import (
 )
 
 
-from oracles import brute_iso_defect, brute_prokhorov
+from oracles import (
+    bisect_prokhorov,
+    brute_iso_defect,
+    brute_prokhorov,
+    rescoring_iso_defect,
+)
 
 
 def test_distortion_hand_value():
@@ -92,6 +97,27 @@ class TestIsoDefect:
             assert res.defect >= exact - 1e-12
             assert res.defect == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("m, n", [(5, 7), (6, 6), (7, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [ghdist.MOVE_BATCH_ELEMS, 1])
+    def test_local_search_matches_full_rescoring(self, m, n, seed, batch,
+                                                 monkeypatch):
+        # scoring moves from the changed terms must walk the same path as
+        # re-scoring every candidate map; rounding to 0.1 adds ties
+        monkeypatch.setattr(ghdist, "EXACT_MAP_LIMIT", 0)
+        monkeypatch.setattr(ghdist, "MOVE_BATCH_ELEMS", batch)
+        r = np.random.default_rng(seed)
+        for digits in (None, 1):
+            X, Y = random_quasi_metric(r, m), random_quasi_metric(r, n)
+            if digits is not None:
+                X = QuasiMetricSpace(np.round(X.dist, digits))
+                Y = QuasiMetricSpace(np.round(Y.dist, digits))
+            res = iso_defect(X, Y, seed=seed)
+            defect, assignment = rescoring_iso_defect(X, Y, seed=seed)
+            assert res.heuristic
+            assert res.defect == defect
+            assert np.array_equal(res.map.assignment, assignment)
+
     def test_scaled_copy_defect(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         X = QuasiMetricSpace(d)
@@ -152,6 +178,50 @@ class TestProkhorov:
         got = prokhorov(space, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         want = brute_prokhorov(space, [1.0, 0.0], [0.0, 1.0])
         assert got == pytest.approx(want, abs=1e-7)
+
+    def test_nearly_equal_measures_not_rounded_to_zero(self):
+        # a relative tolerance in the equality shortcut would call these
+        # two measures equal; their distance is the 5e-6 of mass moved
+        space = QuasiMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        mu, nu = [1.0, 1.0], [1.0 + 5e-6, 1.0 - 5e-6]
+        got = prokhorov(space, mu, nu)
+        assert got == pytest.approx(5e-6, abs=2e-9)
+        assert got == pytest.approx(brute_prokhorov(space, mu, nu), abs=2e-9)
+
+    @staticmethod
+    def _space_and_measures(case, rng, n):
+        if case == "grid":  # pitch 0.5 and a one-way toll: many tied levels
+            x = np.arange(n) * 0.5
+            d = np.abs(x[:, None] - x[None, :]) + 0.25 * (x[:, None] > x[None, :])
+            return QuasiMetricSpace(d), rng.random(n), rng.random(n)
+        if case == "random":
+            return random_quasi_metric(rng, n), rng.random(n), rng.random(n)
+        # glued: X on the first n - 3 points, Y on the last 3, as in ghp_upper
+        X, Y = random_quasi_metric(rng, n - 3), random_quasi_metric(rng, 3)
+        res = iso_defect(X, Y)
+        glued = ghdist._glue(X, Y, res.map, res.defect)
+        mu = np.concatenate([rng.random(n - 3), np.zeros(3)])
+        nu = np.concatenate([np.zeros(n - 3), rng.random(3)])
+        return glued, mu, nu
+
+    @pytest.mark.parametrize("case", ["random", "grid", "glued"])
+    def test_level_memo_matches_plain_bisection(self, case, rng, monkeypatch):
+        calls = {"n": 0}
+        flow = ghdist.nx.maximum_flow_value
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(ghdist.nx, "maximum_flow_value", counted)
+        for n in range(5, 9):
+            space, mu, nu = self._space_and_measures(case, rng, n)
+            calls["n"] = 0
+            want = bisect_prokhorov(space, mu, nu)
+            plain = calls["n"]
+            calls["n"] = 0
+            assert prokhorov(space, mu, nu) == want
+            assert 0 < calls["n"] <= plain / 2
 
     def test_negative_measure_rejected(self):
         space = QuasiMetricSpace(np.zeros((2, 2)))
