@@ -340,14 +340,17 @@ def _glue(X: QuasiMetricSpace, Y: QuasiMetricSpace,
     dx, dy = X.dist, Y.dist
     a = pmap.assignment
     m, n = X.n, Y.n
-    # cross(x, y) = min_{x'} d_X(x, x') + d_Y(f(x'), y) + eps, and reversed
-    xy = (dx[:, :, None] + dy[a][None, :, :]).min(axis=1) + eps
-    yx = (dy[:, a][:, :, None] + dx[None, :, :]).min(axis=1) + eps
-    out = np.zeros((m + n, m + n))
+    out = np.full((m + n, m + n), np.inf)
     out[:m, :m] = dx
     out[m:, m:] = dy
-    out[:m, m:] = xy
-    out[m:, :m] = yx
+    # cross(x, y) = min_{x'} d_X(x, x') + d_Y(f(x'), y) + eps, and reversed;
+    # one x' at a time, so no m x m x n array is built
+    xy, yx = out[:m, m:], out[m:, :m]
+    for k, fk in enumerate(a):
+        np.minimum(xy, dx[:, k, None] + dy[fk], out=xy)
+        np.minimum(yx, dy[:, fk, None] + dx[k], out=yx)
+    xy += eps
+    yx += eps
     return QuasiMetricSpace(out)
 
 

@@ -5,11 +5,17 @@ itself a quasi-metric on probability vectors.  Solves are exact linear
 programs with a post-solve complementary-slackness certificate; order-1
 problems also expose the Kantorovich-Rubinstein dual over asymmetric
 1-Lipschitz potentials f(y) - f(x) <= d(x, y).
+
+Every LP goes through ``linprog``, which hands the model to the HiGHS
+bindings that scipy ships, with the options that
+``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
+pivots and returns the same plan, duals and value as that call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +25,6 @@ from .core import (
     QuasiMetricSpace,
     SpaceError,
     _hop_graph,
-    _OnFirstCall,
     _pitch,
     dijkstra,
 )
@@ -37,8 +42,6 @@ __all__ = [
     "geodesy_check",
     "default_hop_radius",
 ]
-
-linprog = _OnFirstCall("scipy.optimize").linprog
 
 MARGINAL_TOL = 1e-9
 MASS_TOL = 1e-12
@@ -108,6 +111,54 @@ class Interpolation:
     measures: tuple  # of np.ndarray
 
 
+def linprog(c, *, A_eq, b_eq):
+    """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
+
+    Sets what ``scipy.optimize.linprog(method="highs")`` sets (presolve
+    on, dual simplex, no output) and leaves every other option at its
+    default, so the pivots, x, row duals (``eqlin.marginals``), objective
+    and ``nit`` are those of that call.  It skips scipy's loop over
+    every column that builds bound duals, which no caller reads.
+
+    ``success`` is True when HiGHS finds the model optimal; otherwise
+    ``message`` is HiGHS's model status.  A non-finite cost fails before
+    HiGHS runs, because HiGHS calls such a model optimal.
+    """
+    from scipy.optimize._highspy import _core as highspy
+
+    a = A_eq.tocsc()
+    m, n = a.shape
+    c = np.asarray(c, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    if c.shape != (n,) or b_eq.shape != (m,):
+        raise ValueError(f"c and b_eq must have shapes ({n},) and ({m},)")
+    if not np.isfinite(c).all():
+        return SimpleNamespace(success=False, message="non-finite cost", nit=0)
+
+    highs = highspy._Highs()
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("simplex_strategy", int(
+        highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("log_to_console", False)
+    # the last array is the integrality of each column: all continuous
+    highs.passModel(n, m, a.nnz, int(highspy.MatrixFormat.kColwise),
+                    int(highspy.ObjSense.kMinimize), 0.0, c, np.zeros(n),
+                    np.full(n, highspy.kHighsInf), b_eq, b_eq, a.indptr,
+                    a.indices, a.data, np.zeros(n, dtype=np.int32))
+    highs.run()
+    status, info = highs.getModelStatus(), highs.getInfo()
+    res = SimpleNamespace(success=status == highspy.HighsModelStatus.kOptimal,
+                          message=highs.modelStatusToString(status),
+                          nit=info.simplex_iteration_count)
+    if res.success:
+        sol = highs.getSolution()
+        res.x = np.array(sol.col_value)
+        res.fun = info.objective_function_value
+        res.eqlin = SimpleNamespace(marginals=np.array(sol.row_dual))
+    return res
+
+
 def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     """Exact transportation LP; returns (optimal value, plan matrix, psi).
 
@@ -127,10 +178,7 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     eq = vstack([kron(eye(nr), np.ones((1, nc)), format="csr"),
                  kron(np.ones((1, nr)), eye(nc - 1, nc), format="csr")],
                 format="csr")
-    res = linprog(
-        c.ravel(), A_eq=eq, b_eq=np.concatenate([a, b[:-1]]),
-        bounds=(0, None), method="highs",
-    )
+    res = linprog(c.ravel(), A_eq=eq, b_eq=np.concatenate([a, b[:-1]]))
     if not res.success:
         raise SpaceError(f"transport LP failed: {res.message}")
     plan_small = res.x.reshape(nr, nc)
@@ -153,7 +201,7 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
 def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:
     """Order-p transport distance and an optimal coupling (exact LP)."""
-    if np.allclose(prob.mu, prob.nu, atol=MASS_TOL):
+    if np.allclose(prob.mu, prob.nu, rtol=0, atol=MASS_TOL):
         return 0.0, Coupling(np.diag(prob.mu), prob.mu, prob.nu)
     cost = prob.space.dist ** prob.p
     value, plan, _ = _solve_lp(cost, prob.mu, prob.nu)

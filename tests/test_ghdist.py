@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,33 @@ class TestGhpUpper:
         b = ghp_upper(X, Y, theta, seed=7)
         assert a == b
         assert a >= 0
+
+    @pytest.mark.parametrize("m, n", [(5, 9), (9, 9), (9, 5)])
+    def test_glue_matches_broadcast_min(self, rng, m, n):
+        X, Y = random_quasi_metric(rng, m), random_quasi_metric(rng, n)
+        pmap = PointMap(X, Y, rng.integers(0, n, m))
+        glued = ghdist._glue(X, Y, pmap, 0.3).dist
+        dx, dy, a = X.dist, Y.dist, pmap.assignment
+        assert np.array_equal(glued[:m, :m], dx)
+        assert np.array_equal(glued[m:, m:], dy)
+        assert np.array_equal(
+            glued[:m, m:], (dx[:, :, None] + dy[a][None, :, :]).min(axis=1) + 0.3)
+        assert np.array_equal(
+            glued[m:, :m], (dy[:, a][:, :, None] + dx[None, :, :]).min(axis=1) + 0.3)
+
+    def test_glue_builds_no_cubic_temporary(self, rng):
+        m, n = 150, 120
+        X = QuasiMetricSpace(rng.random((m, m)))
+        Y = QuasiMetricSpace(rng.random((n, n)))
+        pmap = PointMap(X, Y, rng.integers(0, n, m))
+        tracemalloc.start()
+        try:
+            glued = ghdist._glue(X, Y, pmap, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an m x m x n float array alone would take 8 m^2 n = 21.6 MB
+        assert peak < 2 * glued.dist.nbytes
 
     def test_glued_space_is_valid_quasi_metric(self, rng):
         from qmspace import validate

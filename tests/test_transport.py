@@ -19,6 +19,7 @@ from qmspace import (
     kr_dual,
     wasserstein,
 )
+from qmspace import transport
 from qmspace.transport import default_hop_radius
 
 
@@ -76,6 +77,22 @@ class TestWasserstein:
                 wac, _ = wasserstein(TransportProblem(space, a, c, p))
                 assert wac <= wab + wbc + 1e-9
 
+    def test_marginals_a_hair_apart_are_solved(self):
+        # within numpy's default rtol of each other, but not the same measure
+        space = QuasiMetricSpace(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        mu = np.array([0.5 + 2e-6, 0.5 - 2e-6])
+        val, coupling = wasserstein(TransportProblem(space, mu, [0.5, 0.5], 1.0))
+        assert val == pytest.approx(2e-6, rel=1e-6)
+        assert coupling.matrix[0, 1] == pytest.approx(2e-6, rel=1e-6)
+
+    def test_non_finite_cost_raises(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        mu, nu = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+        for bad in (np.nan, np.inf):
+            d[1, 2] = bad
+            with pytest.raises(SpaceError, match="non-finite cost"):
+                wasserstein(TransportProblem(QuasiMetricSpace(d), mu, nu))
+
     def test_marginal_validation(self):
         space = QuasiMetricSpace(np.zeros((2, 2)))
         with pytest.raises(SpaceError):
@@ -83,6 +100,87 @@ class TestWasserstein:
         with pytest.raises(SpaceError):
             TransportProblem(space, np.array([0.5, 0.5]),
                              np.array([0.5, 0.5]), p=0.5)
+
+
+class TestHighsBindings:
+    """transport.linprog takes the pivots of scipy's linprog(method="highs")."""
+
+    @staticmethod
+    def _lps(monkeypatch, cost, mu, nu):
+        """The LP _solve_lp builds, transport.linprog's answer and scipy's."""
+        from scipy.optimize import linprog as scipy_linprog
+        seen = []
+        ours = transport.linprog
+
+        def record(c, *, A_eq, b_eq):
+            seen.append((c, A_eq, b_eq))
+            return ours(c, A_eq=A_eq, b_eq=b_eq)
+
+        monkeypatch.setattr(transport, "linprog", record)
+        _, plan, _ = transport._solve_lp(cost, mu, nu)
+        (c, a_eq, b_eq), = seen
+        want = scipy_linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                             method="highs")
+        return ours(c, A_eq=a_eq, b_eq=b_eq), want, plan
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.success and want.success
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.eqlin.marginals, want.eqlin.marginals)
+        assert got.fun == want.fun
+        assert got.nit == want.nit
+
+    def test_dense(self, monkeypatch, rng):
+        space = random_quasi_metric(rng, 30)
+        mu, nu = rng.random(30), rng.random(30)
+        got, want, _ = self._lps(monkeypatch, space.dist ** 2,
+                                 mu / mu.sum(), nu / nu.sum())
+        self._assert_same(got, want)
+
+    def test_zero_mass_rows_and_columns(self, monkeypatch, rng):
+        space = random_quasi_metric(rng, 30)
+        mu = rng.random(30) * (np.arange(30) % 3 != 0)
+        nu = rng.random(30) * (np.arange(30) % 4 != 1)
+        got, want, _ = self._lps(monkeypatch, space.dist,
+                                 mu / mu.sum(), nu / nu.sum())
+        self._assert_same(got, want)
+
+    def test_skewed_masses_through_presolve(self, monkeypatch):
+        # masses from 1e-12 to 1e-7 sit below HiGHS's feasibility
+        # tolerance, so presolve removes their rows and the postsolved
+        # plan misses the marginals: that drift must come out the same
+        rng = np.random.default_rng(0)
+        space = random_quasi_metric(rng, 30)
+        mu, nu = rng.random(30), rng.random(30)
+        for m in (mu, nu):
+            tiny = rng.random(30) < 0.4
+            m[tiny] = 10 ** rng.uniform(-12, -7, tiny.sum())
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        got, want, plan = self._lps(monkeypatch, space.dist ** 2, mu, nu)
+        self._assert_same(got, want)
+        drift = max(np.abs(plan.sum(axis=1) - mu).max(),
+                    np.abs(plan.sum(axis=0) - nu).max())
+        assert drift > transport.MARGINAL_TOL
+
+    def test_single_source(self, monkeypatch, rng):
+        space = random_quasi_metric(rng, 12)
+        mu = np.zeros(12)
+        mu[4] = 1.0
+        nu = rng.random(12)
+        got, want, _ = self._lps(monkeypatch, space.dist, mu, nu / nu.sum())
+        assert len(got.x) == 12
+        self._assert_same(got, want)
+
+    def test_infeasible_is_not_success(self):
+        from scipy.sparse import csr_array
+        # rows 0.5 + 0.5, but column 0 alone asks for 1.5
+        a_eq = csr_array(np.array([[1.0, 1.0, 0.0, 0.0],
+                                   [0.0, 0.0, 1.0, 1.0],
+                                   [1.0, 0.0, 1.0, 0.0]]))
+        res = transport.linprog(np.ones(4), A_eq=a_eq, b_eq=[0.5, 0.5, 1.5])
+        assert not res.success
+        assert res.message == "Infeasible"
 
 
 def test_kr_dual_matches_primal(rng):
