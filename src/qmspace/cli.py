@@ -177,8 +177,7 @@ def cmd_dist(args) -> int:
     # prokhorov, the last of the parser's choices
     ma = _as_measured(a, "prokhorov")
     mb = _as_measured(b, "prokhorov")
-    if ma.space.dist.shape != mb.space.dist.shape or not np.allclose(
-            ma.space.dist, mb.space.dist):
+    if not np.array_equal(ma.space.dist, mb.space.dist):
         raise core.SpaceError(
             "prokhorov compares two measures on one space: "
             "distance matrices differ")

@@ -270,21 +270,28 @@ def _excess(d: np.ndarray, mu: np.ndarray, nu: np.ndarray, eps: float) -> float:
     """sup over sets A of mu(A) - nu(A^eps), via max-flow min-cut.
 
     A^eps is the open forward fattening {y : min_{a in A} d(a, y) < eps}.
+    Integer nodes (i, n + j, source 2n, sink 2n + 1) keep the flow value
+    independent of PYTHONHASHSEED; networkx's default preflow-push can
+    raise on float capacities, augmenting paths do not.
     """
+    # a real import: ``nx`` is a stand-in that only forwards calls
+    from networkx.algorithms.flow import shortest_augmenting_path
+
     n = len(mu)
+    s, t = 2 * n, 2 * n + 1
     g = nx.DiGraph()
     big = float(mu.sum() + nu.sum() + 1.0)
     for i in range(n):
         if mu[i] > 0:
-            g.add_edge("s", ("a", i), capacity=float(mu[i]))
+            g.add_edge(s, i, capacity=float(mu[i]))
         if nu[i] > 0:
-            g.add_edge(("b", i), "t", capacity=float(nu[i]))
+            g.add_edge(n + i, t, capacity=float(nu[i]))
     rows, cols = np.nonzero(d < eps)
     for i, j in zip(rows, cols):
-        g.add_edge(("a", int(i)), ("b", int(j)), capacity=big)
-    if "s" not in g or "t" not in g:
+        g.add_edge(int(i), n + int(j), capacity=big)
+    if s not in g or t not in g:
         return float(mu.sum())
-    flow = nx.maximum_flow_value(g, "s", "t")
+    flow = nx.maximum_flow_value(g, s, t, flow_func=shortest_augmenting_path)
     return float(mu.sum() - flow)
 
 

@@ -101,14 +101,16 @@ def _funk_distance_matrix(pts: np.ndarray) -> np.ndarray:
 class RandersTorus:
     """Flat torus with a constant one-form drift b along the first axis.
 
-    Periods are 2*pi per coordinate; distances minimize over lattice
-    translates within ``window`` periods per axis (enough for moderate b;
-    b near 1 needs a wider window).
+    Periods are 2*pi per coordinate.  The distance from p to q is the
+    least |w| + b*w1 over the lattice translates w of q - p.  Across the
+    drift the nearest translate is best; along it the length is convex
+    in w1 with its minimum at w1 = -b*r/sqrt(1 - b^2), r the length
+    across, so the best translate is one of the two lattice points on
+    either side of that minimum.  This holds for every b in [0, 1).
     """
 
     dim: int = 2
     b: float = 0.5
-    window: int = 2
 
     def __post_init__(self):
         if not 0 <= self.b < 1:
@@ -117,14 +119,7 @@ class RandersTorus:
             raise SpaceError("torus dimension must be >= 2")
 
     def distance_matrix(self, pts: np.ndarray) -> np.ndarray:
-        delta = pts[None, :, :] - pts[:, None, :]
-        period = 2.0 * np.pi
-        shifts = np.arange(-self.window, self.window + 1) * period
-        best = np.full(delta.shape[:2], np.inf)
-        for combo in itertools.product(shifts, repeat=self.dim):
-            w = delta + np.asarray(combo)
-            val = np.linalg.norm(w, axis=2) + self.b * w[:, :, 0]
-            np.minimum(best, val, out=best)
+        best = _drift_length(pts[:, None, :], pts[None, :, :], self.b)
         np.fill_diagonal(best, 0.0)
         return best
 
@@ -133,20 +128,36 @@ class RandersTorus:
         return (1.0 + self.b) / (1.0 - self.b)
 
 
+def _drift_length(p, q, b):
+    """Least |w| + b*w[0] over the lattice translates w of q - p, over
+    the last axis.  Each candidate is q - p + k*2*pi with k a float
+    integer: the floats a scan over translates gives."""
+    period = 2.0 * np.pi
+    w = np.subtract(q, p, dtype=float)
+    along = w[..., 0].copy()
+    # across the drift: the nearer of the two translates around 0
+    across = w[..., 1:]
+    k = np.floor(-across / period)
+    up = across + (k + 1.0) * period
+    across += k * period
+    np.copyto(across, up, where=np.abs(up) < np.abs(across))
+    del up
+    # along the drift: the two translates around w1 = -b*r/sqrt(1 - b^2)
+    slope = -b / np.sqrt(1.0 - b * b)
+    k = np.floor((slope * np.linalg.norm(across, axis=-1) - along) / period)
+    best = np.inf
+    for _ in range(2):
+        w[..., 0] = along + k * period
+        best = np.minimum(best, np.linalg.norm(w, axis=-1) + b * w[..., 0])
+        k += 1.0
+    return best
+
+
 def randers_torus_distance(model: RandersTorus, p, q) -> float:
     """Randers torus distance: min over lattice translates of |w| + b*w1."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    delta = q - p
-    period = 2.0 * np.pi
-    shifts = np.arange(-model.window, model.window + 1) * period
-    best = np.inf
-    for combo in itertools.product(shifts, repeat=model.dim):
-        w = delta + np.asarray(combo)
-        val = np.linalg.norm(w) + model.b * w[0]
-        if val < best:
-            best = val
-    return float(best)
+    return float(_drift_length(p, q, model.b))
 
 
 @dataclass(frozen=True)
@@ -270,6 +281,8 @@ def _torus_points(model: RandersTorus, spec: SampleSpec) -> np.ndarray:
     if spec.strategy == "grid":
         axis = np.arange(0.0, 2 * np.pi - 1e-12, spec.pitch)
         return np.array(list(itertools.product(axis, repeat=model.dim)))
+    if spec.strategy == "radial-shells":
+        raise SpaceError("a torus has no center for radial-shells sampling")
     rng = np.random.default_rng(spec.seed)
     return rng.uniform(0.0, 2 * np.pi, size=(spec.count, model.dim))
 

@@ -176,3 +176,19 @@ def row_scan_triangle_violations(d, tol):
         slack = d[i][None, :] - (d[i][:, None] + d)
         out.extend((i, int(j), int(k)) for j, k in zip(*np.nonzero(slack > tol)))
     return out
+
+
+def torus_translate_scan(pts, b, window):
+    """Randers torus distance matrix by scanning every lattice translate
+    within ``window`` periods per axis: (2*window + 1)**dim of them."""
+    dim = pts.shape[1]
+    delta = pts[None, :, :] - pts[:, None, :]
+    period = 2.0 * np.pi
+    shifts = np.arange(-window, window + 1) * period
+    best = np.full(delta.shape[:2], np.inf)
+    for combo in itertools.product(shifts, repeat=dim):
+        w = delta + np.asarray(combo)
+        val = np.linalg.norm(w, axis=2) + b * w[:, :, 0]
+        np.minimum(best, val, out=best)
+    np.fill_diagonal(best, 0.0)
+    return best

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmspace import (
+    MeasuredSpace,
     QuasiMetricSpace,
     TransportProblem,
     cd_check,
@@ -110,6 +111,19 @@ class TestGen:
         assert "drift vector length must equal --dim" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_torus_with_drift_near_one_validates(self, tmp_path):
+        path = tmp_path / "torus.json"
+        assert main(["gen", "randers-torus", "--b", "0.99", "--grid", "0.5",
+                     "-o", str(path)]) == 0
+        assert main(["validate", str(path)]) == 0
+
+    def test_torus_radial_shells_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "torus.json"
+        assert main(["gen", "randers-torus", "--strategy", "radial-shells",
+                     "--count", "30", "-o", str(path)]) == 2
+        assert "radial-shells" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_bad_params_exit_2(self, tmp_path):
         assert main(["gen", "randers-torus", "--b", "1.5", "--grid", "1.0",
                      "-o", str(tmp_path / "x.json")]) == 2
@@ -180,6 +194,17 @@ class TestDist:
     def test_prokhorov_needs_same_space(self, funk_file, gauss_file):
         assert main(["dist", "prokhorov", str(funk_file),
                      str(gauss_file)]) == 2
+
+    def test_prokhorov_nearly_equal_spaces_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        d = rng.uniform(1.0, 2.0, size=(6, 6))
+        np.fill_diagonal(d, 0.0)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_space(str(a), MeasuredSpace(QuasiMetricSpace(d), rng.random(6)))
+        save_space(str(b), MeasuredSpace(QuasiMetricSpace(d * (1 + 5e-6)),
+                                         rng.random(6)))
+        assert main(["dist", "prokhorov", str(a), str(b)]) == 2
+        assert "distance matrices differ" in capsys.readouterr().err
 
     def test_prokhorov_same_file_zero(self, tmp_path, gauss_file):
         out = tmp_path / "p.json"

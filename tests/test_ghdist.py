@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -223,6 +226,38 @@ class TestProkhorov:
             calls["n"] = 0
             assert prokhorov(space, mu, nu) == want
             assert 0 < calls["n"] <= plain / 2
+
+    @pytest.mark.parametrize("seed", [2, 8, 9])
+    def test_float_capacities_match_subset_oracle(self, seed):
+        # networkx's default preflow-push raised on these masses
+        rng = np.random.default_rng(seed)
+        d = rng.random((8, 8))
+        np.fill_diagonal(d, 0.0)
+        for k in range(8):
+            d = np.minimum(d, d[:, k, None] + d[k])
+        space = QuasiMetricSpace(d)
+        mu, nu = rng.random(8) ** 16, rng.random(8) ** 16
+        assert prokhorov(space, mu, nu) == brute_prokhorov(space, mu, nu)
+
+    def test_excess_same_under_every_hash_seed(self):
+        child = (
+            "import numpy as np\n"
+            "from qmspace import ghdist\n"
+            "rng = np.random.default_rng(0)\n"
+            "d = rng.random((30, 30))\n"
+            "mu, nu = rng.random(30), rng.random(30)\n"
+            "print([ghdist._excess(d, mu, nu, eps).hex()\n"
+            "       for eps in np.linspace(0.02, 0.7, 35)])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ghdist.__file__)))
+        outs = {
+            subprocess.run(
+                [sys.executable, "-c", child], check=True, capture_output=True,
+                text=True, env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=str(h))).stdout
+            for h in (0, 1)
+        }
+        assert len(outs) == 1
 
     def test_negative_measure_rejected(self):
         space = QuasiMetricSpace(np.zeros((2, 2)))

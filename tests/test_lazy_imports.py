@@ -25,6 +25,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "funk.json")
     assert cli.main(["gen", "funk", "--dim", "2", "--grid", "0.3",
                      "--clip-r", "1", "-o", path]) == 0
+    assert cli.main(["gen", "randers-torus", "--grid", "1.0",
+                     "-o", os.path.join(tmp, "torus.json")]) == 0
     for argv in (["validate", path], ["report", path],
                  ["dist", "gh", path, path, "--theta", "6"],
                  ["dist", "hausdorff", path, "--set-a", "0", "--set-b", "1"]):

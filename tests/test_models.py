@@ -25,6 +25,8 @@ from qmspace import (
     validate,
 )
 
+from oracles import torus_translate_scan
+
 unit_ball_point = st.tuples(
     st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)
 ).map(np.array)
@@ -136,16 +138,53 @@ class TestRandersTorus:
         lam = reversibility(ms.space)
         assert lam == pytest.approx(3.0, abs=1e-9)
 
-    def test_wider_window_changes_nothing(self):
-        # the default translate window already contains the optimizer
-        rng = np.random.default_rng(9)
-        narrow = RandersTorus(dim=2, b=0.5, window=2)
-        wide = RandersTorus(dim=2, b=0.5, window=4)
-        for _ in range(30):
-            p = rng.uniform(0, 2 * np.pi, size=2)
-            q = rng.uniform(0, 2 * np.pi, size=2)
-            assert randers_torus_distance(narrow, p, q) == pytest.approx(
-                randers_torus_distance(wide, p, q), abs=1e-12)
+    @staticmethod
+    def _grid(dim, pitch):
+        axis = np.arange(0.0, 2 * np.pi - 1e-12, pitch)
+        return np.array(list(itertools.product(axis, repeat=dim)))
+
+    @pytest.mark.parametrize("dim, pitch", [(2, 1.0), (2, 0.45), (3, 1.3),
+                                            (3, 0.9)])
+    @pytest.mark.parametrize("b", [0.0, 1 / 3, 0.5, 0.9])
+    def test_bitwise_equal_to_translate_scan(self, dim, pitch, b):
+        # at these b every optimal translate lies within two periods
+        model = RandersTorus(dim=dim, b=b)
+        rng = np.random.default_rng(dim)
+        for pts in (self._grid(dim, pitch),
+                    rng.uniform(0.0, 2 * np.pi, size=(50, dim))):
+            want = torus_translate_scan(pts, b, window=2)
+            assert np.array_equal(model.distance_matrix(pts), want)
+            for i, j in rng.integers(0, len(pts), size=(40, 2)):
+                assert randers_torus_distance(model, pts[i], pts[j]) == want[i, j]
+
+    def test_integer_points(self):
+        pts = np.array([[0, 0], [1, 5], [6, 2]])
+        assert np.array_equal(RandersTorus(b=0.5).distance_matrix(pts),
+                              torus_translate_scan(pts, 0.5, window=2))
+
+    def test_drift_near_one_matches_wide_scan(self):
+        # at b = 0.99 some optimal translates lie beyond two periods: a
+        # two-period scan overstates distances and breaks the triangle
+        # inequality, the closed form does neither
+        pts = self._grid(2, 0.5)
+        model = RandersTorus(dim=2, b=0.99)
+        got = model.distance_matrix(pts)
+        # every third point keeps the 81**2-translate scan under a second
+        want = torus_translate_scan(pts[::3], 0.99, window=40)
+        assert np.array_equal(got[::3, ::3], want)
+        assert (torus_translate_scan(pts[::3], 0.99, window=2) > want).any()
+        rng = np.random.default_rng(99)
+        for i, j in rng.integers(0, len(pts), size=(40, 2)):
+            assert randers_torus_distance(model, pts[i], pts[j]) == got[i, j]
+        ms = sample(model, SampleSpec(strategy="grid", pitch=0.5))
+        assert np.array_equal(ms.space.dist, got)
+        assert validate(ms.space).valid
+
+    def test_radial_shells_rejected(self):
+        # a torus has no center to put shells around
+        with pytest.raises(SpaceError, match="radial-shells"):
+            sample(RandersTorus(dim=2, b=0.5),
+                   SampleSpec(strategy="radial-shells", count=30))
 
     def test_zero_drift_is_symmetric(self):
         ms = sample(RandersTorus(dim=2, b=0.0),
