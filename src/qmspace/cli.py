@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -31,15 +30,6 @@ from .io import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _seed_default() -> int:
-    value = os.environ.get("QMSPACE_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise core.SpaceError(
-            f"QMSPACE_SEED must be an integer, got {value!r}") from None
 
 
 def _jsonable(x):
@@ -125,6 +115,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.max_listed < 0:
+        raise core.SpaceError("--max-listed must be nonnegative")
     report = core.validate(_plain(load_space(args.file)), tol=args.tol)
     # vars, not asdict: asdict deep-copies every violation before the cut
     _emit({k: v[:args.max_listed] if isinstance(v, list) else v
@@ -226,18 +218,14 @@ def _density_pair(ms: core.MeasuredSpace, seed: int):
 def cmd_cd(args) -> int:
     ms = _as_measured(load_space(args.file), "cd-check").normalized()
     U = _nonlinearity(args.U)
-    ts = [float(t) for t in args.ts]
-    if not ts or any(not 0.0 <= t <= 1.0 for t in ts):
-        raise core.SpaceError("t values must lie in [0, 1]")
     N = float(args.N)
     if (args.mu0 is None) != (args.mu1 is None):
         raise core.SpaceError("--mu0 and --mu1 must be given together")
     if args.mu0 is not None:
-        mu0 = np.asarray(json.loads(args.mu0), dtype=float)
-        mu1 = np.asarray(json.loads(args.mu1), dtype=float)
+        mu0, mu1 = json.loads(args.mu0), json.loads(args.mu1)
     else:
         mu0, mu1 = _density_pair(ms, args.seed)
-    reports = curvature.cd_check(ms, mu0, mu1, args.K, N, U, ts)
+    reports = curvature.cd_check(ms, mu0, mu1, args.K, N, U, args.ts)
     _emit([asdict(r) for r in reports], args)
     return 0 if all(r.passed for r in reports) else CHECK_FAILED
 
@@ -291,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", "-o", default=None)
-        p.add_argument("--seed", type=int, default=_seed_default())
+        p.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("gen", help="generate a model space file")
     g.add_argument("model", choices=["funk", "randers-torus", "randers-ball",
@@ -310,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weights", choices=["uniform", "lebesgue"],
                    default="lebesgue")
     g.add_argument("--normalize", action="store_true")
-    g.add_argument("--seed", type=int, default=_seed_default())
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--output", "-o", required=True)
     g.set_defaults(func=cmd_gen)
 

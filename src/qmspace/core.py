@@ -1,9 +1,11 @@
 """Finite quasi-metric spaces and their basic asymmetric geometry.
 
 A quasi-metric space here is a finite point set with an n x n matrix of
-nonnegative distances (row = source, column = target) satisfying the
-triangle inequality but not necessarily symmetry.  All operations are
-pure functions of immutable inputs.
+finite, nonnegative distances (row = source, column = target) satisfying
+the triangle inequality but not necessarily symmetry.  All operations are
+pure functions of immutable inputs.  Distance matrices are checked where
+a space is built, and weight vectors and marginals where they enter, by
+``_measure``.
 """
 
 from __future__ import annotations
@@ -76,23 +78,38 @@ class _OnFirstCall:
 dijkstra = _OnFirstCall("scipy.sparse.csgraph").dijkstra
 
 
+def _measure(w, n: int, what: str) -> np.ndarray:
+    """``w`` as a float vector of n finite, nonnegative masses.
+
+    The one check of a weight vector or marginal: every measure that
+    enters the package passes through here or raises SpaceError.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise SpaceError(f"{what} must have length {n}, got shape {w.shape}")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise SpaceError(f"{what} must be finite and nonnegative")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiMetricSpace:
     """Finite point set with an asymmetric distance matrix.
 
-    ``dist[i, j]`` is the distance from point i to point j.  Optional
-    ``labels`` name the points and ``coords`` carry an embedding used by
-    the model generators.
+    ``dist[i, j]`` is the distance from point i to point j; every entry
+    must be finite.  Optional ``coords`` carry an embedding used by the
+    model generators.
     """
 
     dist: np.ndarray
-    labels: tuple | None = None
     coords: np.ndarray | None = None
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise SpaceError(f"distance matrix must be square, got shape {d.shape}")
+        if not np.isfinite(d).all():
+            raise SpaceError("distance matrix has non-finite entries")
         object.__setattr__(self, "dist", d)
         if self.coords is not None:
             object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
@@ -103,26 +120,22 @@ class QuasiMetricSpace:
 
     def subspace(self, indices) -> "QuasiMetricSpace":
         idx = np.asarray(indices, dtype=int)
-        labels = tuple(self.labels[i] for i in idx) if self.labels else None
         coords = self.coords[idx] if self.coords is not None else None
-        return QuasiMetricSpace(self.dist[np.ix_(idx, idx)], labels, coords)
+        return QuasiMetricSpace(self.dist[np.ix_(idx, idx)], coords)
 
 
 @dataclass(frozen=True, eq=False)
 class MeasuredSpace:
-    """Quasi-metric space with nonnegative atom weights and optional basepoint."""
+    """Quasi-metric space with finite, nonnegative atom weights and an
+    optional basepoint."""
 
     space: QuasiMetricSpace
     weights: np.ndarray
     basepoint: int | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.space.n,):
-            raise SpaceError(f"weights must have length {self.space.n}, got {w.shape}")
-        if np.any(w < 0):
-            raise SpaceError("weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights",
+                           _measure(self.weights, self.space.n, "weights"))
         if self.basepoint is not None and not 0 <= self.basepoint < self.space.n:
             raise SpaceError(f"basepoint {self.basepoint} out of range")
 
@@ -227,10 +240,11 @@ def validate(space: QuasiMetricSpace, tol: float = USER_TOL) -> ValidationReport
 
     Lists every triangle violation d(i,k) > d(i,j) + d(j,k) + tol, every
     zero off-diagonal entry, negative entry, and nonzero diagonal entry.
+    ``tol`` must be finite and nonnegative.
     """
+    if not 0 <= tol < np.inf:
+        raise SpaceError(f"tolerance must be finite and nonnegative, got {tol}")
     d = space.dist
-    if not np.all(np.isfinite(d)):
-        raise SpaceError("distance matrix has non-finite entries")
     n = space.n
     report = ValidationReport(valid=True, tol=tol)
 
@@ -244,20 +258,15 @@ def validate(space: QuasiMetricSpace, tol: float = USER_TOL) -> ValidationReport
         else:
             report.zero_offdiagonal.append((int(i), int(j)))
 
-    # short[i] = max_k (d[i,k] - min_j (d[i,j] + d[j,k])).  Rounded
-    # subtraction is monotone, so short[i] > tol exactly when some triple
-    # of row i has slack > tol; only those rows are enumerated.
-    through = np.empty_like(d)
-    short = np.empty(n)
+    # Row i's largest shortfall is max_k (d[i,k] - min_j (d[i,j] + d[j,k])).
+    # Rounded subtraction is monotone, so it exceeds tol exactly when some
+    # triple of row i has slack > tol; only those rows are enumerated.
+    through = np.empty_like(d)  # through[j,k] = d(i,j) + d(j,k)
     for i in range(n):
         np.add(d[i][:, None], d, out=through)
-        short[i] = (d[i] - through.min(axis=0)).max()
-    for i in np.nonzero(short > tol)[0]:
-        through = d[i][:, None] + d  # through[j,k] = d(i,j)+d(j,k)
-        slack = d[i][None, :] - through
-        bad = np.nonzero(slack > tol)
-        for j, k in zip(*bad):
-            report.triangle_violations.append((int(i), int(j), int(k)))
+        if (d[i] - through.min(axis=0)).max() > tol:
+            for j, k in zip(*np.nonzero(d[i] - through > tol)):
+                report.triangle_violations.append((int(i), int(j), int(k)))
 
     report.valid = not (
         report.triangle_violations
@@ -292,9 +301,7 @@ def reversibility(space: QuasiMetricSpace, subset=None) -> float:
 
 def symmetrize(space: QuasiMetricSpace) -> QuasiMetricSpace:
     """Arithmetic-mean symmetrization (d(x,y)+d(y,x))/2."""
-    return QuasiMetricSpace(
-        0.5 * (space.dist + space.dist.T), space.labels, space.coords
-    )
+    return QuasiMetricSpace(0.5 * (space.dist + space.dist.T), space.coords)
 
 
 def ball(space: QuasiMetricSpace, spec: BallSpec) -> np.ndarray:
@@ -358,7 +365,7 @@ def induced_length_metric(
             f"hop graph not strongly connected: no chain from {i} to {j} "
             f"at neighbor radius {neighbor_radius}"
         )
-    return QuasiMetricSpace(out, space.labels, space.coords)
+    return QuasiMetricSpace(out, space.coords)
 
 
 def midpoint_defect(space: QuasiMetricSpace, x: int, y: int) -> float:

@@ -21,6 +21,7 @@ from .core import (
     FunctionalReport,
     MeasuredSpace,
     SpaceError,
+    _measure,
     _pitch,
     ball,
     diameter,
@@ -222,10 +223,8 @@ def u_functional(U: Nonlinearity, mu, nu) -> float:
     Sum of U(density) over nu-positive atoms plus the derivative-at-
     infinity times the mass mu carries on nu-null atoms.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if np.any(mu < 0) or np.any(nu < 0):
-        raise SpaceError("weights must be nonnegative")
+    nu = _measure(nu, np.size(nu), "nu")
+    mu = _measure(mu, nu.size, "mu")
     ac = nu > 0
     total = 0.0
     for m, w in zip(mu[ac], nu[ac]):
@@ -295,8 +294,6 @@ def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
     canonical plan only, not the space.
     """
     nu = mspace.weights
-    mu0 = np.asarray(mu0, dtype=float)
-    mu1 = np.asarray(mu1, dtype=float)
     tol = 5.0 * _pitch(mspace.space)
     space = mspace.space
 
@@ -525,7 +522,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
             return reports  # space violates the diameter bound; stop here
 
     if mu is not None:
-        mu = np.asarray(mu, dtype=float)
+        mu = _measure(mu, ms.n, "mu")
         rho = np.zeros_like(mu)
         rho[support] = mu[support] / nu[support]
         H = u_functional(entropy_nonlinearity(), mu, nu)

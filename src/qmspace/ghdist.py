@@ -25,6 +25,7 @@ from .core import (
     QuasiMetricSpace,
     SpaceError,
     _OnFirstCall,
+    _measure,
     reversibility,
 )
 
@@ -305,12 +306,8 @@ def prokhorov(space: QuasiMetricSpace, mu, nu) -> float:
     excess is solved once per such level and looked up on later steps.
     The midpoints and the returned bound are those of the plain search.
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if np.any(mu < 0) or np.any(nu < 0):
-        raise SpaceError("measures must be nonnegative")
-    if mu.shape != (space.n,) or nu.shape != (space.n,):
-        raise SpaceError("weight vectors must match the space size")
+    mu = _measure(mu, space.n, "mu")
+    nu = _measure(nu, space.n, "nu")
     if np.allclose(mu, nu, rtol=0, atol=PROKHOROV_TOL):
         return 0.0
     d = space.dist

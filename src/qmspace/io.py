@@ -1,14 +1,13 @@
 """Serialization for spaces, measures, and transport problems.
 
-Space files are JSON objects {"n", "dist", "labels"?, "coords"?} with
-the distance matrix row-major; measured spaces add "weights" and an
-optional "basepoint".  A CSV alternative holds the square matrix, one
-row per line.  Transport problems bundle a space with "mu", "nu", "p".
+Space files are JSON objects {"n", "dist", "coords"?} with the distance
+matrix row-major; measured spaces add "weights" and an optional
+"basepoint".  Transport problems bundle a space with "mu", "nu", "p".
+Other keys ("metadata", or "labels" in older files) are ignored on load.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
@@ -21,8 +20,6 @@ from .transport import TransportProblem
 __all__ = [
     "load_space",
     "save_space",
-    "load_matrix_csv",
-    "save_matrix_csv",
     "load_problem",
     "save_problem",
     "plan_triplets",
@@ -73,14 +70,11 @@ def _space_from_dict(obj: dict):
     coords = obj.get("coords")
     if coords is not None:
         coords = np.asarray(coords, dtype=float)
-    space = QuasiMetricSpace(dist, labels=obj.get("labels"), coords=coords)
+    space = QuasiMetricSpace(dist, coords=coords)
     if "weights" in obj:
         bp = obj.get("basepoint")
-        return MeasuredSpace(
-            space,
-            np.asarray(obj["weights"], dtype=float),
-            basepoint=None if bp is None else int(bp),
-        )
+        return MeasuredSpace(space, obj["weights"],
+                             basepoint=None if bp is None else int(bp))
     return space
 
 
@@ -108,8 +102,6 @@ def _space_to_dict(space, metadata: dict | None = None) -> dict:
             out["basepoint"] = int(space.basepoint)
     else:
         out = {"n": space.n, "dist": space.dist.tolist()}
-        if space.labels is not None:
-            out["labels"] = list(space.labels)
         if space.coords is not None:
             out["coords"] = np.asarray(space.coords).tolist()
     if metadata:
@@ -122,33 +114,14 @@ def save_space(path: str, space, metadata: dict | None = None):
                  + "\n")
 
 
-def load_matrix_csv(path: str) -> QuasiMetricSpace:
-    """Read a square distance matrix, one row per line."""
-    with open(path) as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    dist = np.asarray(rows, dtype=float)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise SpaceError(f"{path}: matrix is not square")
-    return QuasiMetricSpace(dist)
-
-
-def save_matrix_csv(path: str, space: QuasiMetricSpace):
-    lines = [",".join(fmt(v) for v in row) for row in space.dist]
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
 def load_problem(path: str) -> TransportProblem:
     """Load a transport problem: space JSON plus mu, nu, p."""
     obj = _load_object(path)
     for key in ("mu", "nu"):
         if key not in obj:
             raise SpaceError(f"{path}: missing '{key}'")
-    return TransportProblem(
-        _plain(_space_from_dict(obj)),
-        np.asarray(obj["mu"], dtype=float),
-        np.asarray(obj["nu"], dtype=float),
-        float(obj.get("p", 1.0)),
-    )
+    return TransportProblem(_plain(_space_from_dict(obj)), obj["mu"],
+                            obj["nu"], float(obj.get("p", 1.0)))
 
 
 def save_problem(path: str, problem: TransportProblem):

@@ -330,7 +330,7 @@ def rescale(mspace: MeasuredSpace, k: float) -> MeasuredSpace:
     if k <= 0:
         raise SpaceError("rescale factor must be positive")
     space = mspace.space
-    scaled = QuasiMetricSpace(k * space.dist, space.labels, space.coords)
+    scaled = QuasiMetricSpace(k * space.dist, space.coords)
     return MeasuredSpace(scaled, mspace.weights, mspace.basepoint)
 
 

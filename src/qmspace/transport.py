@@ -25,6 +25,7 @@ from .core import (
     QuasiMetricSpace,
     SpaceError,
     _hop_graph,
+    _measure,
     _pitch,
     dijkstra,
 )
@@ -61,13 +62,8 @@ class TransportProblem:
     p: float = 1.0
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
-        n = self.space.n
-        if mu.shape != (n,) or nu.shape != (n,):
-            raise SpaceError("marginals must match the space size")
-        if np.any(mu < 0) or np.any(nu < 0):
-            raise SpaceError("marginals must be nonnegative")
+        mu = _measure(self.mu, self.space.n, "mu")
+        nu = _measure(self.nu, self.space.n, "nu")
         if abs(mu.sum() - 1.0) > MASS_TOL or abs(nu.sum() - 1.0) > MASS_TOL:
             raise SpaceError("marginals must sum to 1")
         if self.p < 1:
@@ -248,8 +244,6 @@ def asymmetry_bound_check(mspace: MeasuredSpace, mu, nu, p: float, q: float,
     if mspace.basepoint is None:
         raise SpaceError("measured space needs a basepoint")
     space = mspace.space
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     delta = np.zeros(space.n)
     delta[mspace.basepoint] = 1.0
 

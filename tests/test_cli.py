@@ -15,11 +15,9 @@ from qmspace import (
 from qmspace.cli import main
 from qmspace.io import (
     fmt,
-    load_matrix_csv,
     load_problem,
     load_space,
     plan_triplets,
-    save_matrix_csv,
     save_problem,
     save_space,
 )
@@ -50,13 +48,6 @@ class TestIo:
         assert np.array_equal(again.space.dist, ms.space.dist)
         assert np.array_equal(again.weights, ms.weights)
         assert again.basepoint == ms.basepoint
-
-    def test_matrix_csv_roundtrip(self, tmp_path):
-        space = QuasiMetricSpace(np.array([[0.0, 1.5], [2.0, 0.0]]))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(str(path), space)
-        again = load_matrix_csv(str(path))
-        assert np.array_equal(again.dist, space.dist)
 
     def test_problem_roundtrip(self, tmp_path):
         space = QuasiMetricSpace(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -129,6 +120,16 @@ class TestGen:
                      "-o", str(tmp_path / "x.json")]) == 2
 
 
+def write_json(path, obj):
+    """Write obj as JSON; NaN and Infinity go out as JSON's extensions."""
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+#: the asymmetric 3-point space of the bad-input reproductions
+D3 = [[0.0, 1.0, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
 class TestValidate:
     def test_corrupted_triangle_exit_1(self, tmp_path, funk_file):
         obj = json.loads(funk_file.read_text())
@@ -148,6 +149,27 @@ class TestValidate:
     def test_directory_exit_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_tol_exit_2(self, tmp_path, capsys):
+        # it listed (0, 0, 0) and every diagonal entry as violations
+        ok = write_json(tmp_path / "ok.json",
+                        {"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
+        assert main(["validate", ok, "--tol=-1e-9"]) == 2
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_nan_tol_exit_2(self, tmp_path, command):
+        # a NaN tolerance called this broken matrix valid
+        broken = write_json(tmp_path / "broken.json",
+                            {"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]})
+        assert main([command, broken, "--tol", "nan"]) == 2
+
+    def test_negative_max_listed_exit_2(self, tmp_path, capsys):
+        # v[:-1] silently dropped the last violation
+        broken = write_json(tmp_path / "broken.json",
+                            {"dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]})
+        assert main(["validate", broken, "--max-listed", "-1"]) == 2
+        assert "--max-listed must be nonnegative" in capsys.readouterr().err
 
 
 class TestDist:
@@ -325,11 +347,6 @@ class TestReport:
         assert main(["report", str(funk_file), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_seed_variable_exit_2(self, gauss_file, monkeypatch, capsys):
-        monkeypatch.setenv("QMSPACE_SEED", "abc")
-        assert main(["report", str(gauss_file)]) == 2
-        assert "QMSPACE_SEED must be an integer" in capsys.readouterr().err
-
     def test_csv_format(self, tmp_path, gauss_file):
         out = tmp_path / "r.csv"
         assert main(["report", str(gauss_file), "--format", "csv",
@@ -337,3 +354,35 @@ class TestReport:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert "valid" in lines[0]
+
+
+class TestNonFiniteInput:
+    """Each of these exited 0 with a number computed from the NaN."""
+
+    def test_dist_w_nan_marginal_exit_2(self, tmp_path, capsys):
+        prob = write_json(tmp_path / "prob.json", {
+            "dist": D3, "mu": [float("nan"), 0.5, 0.5],
+            "nu": [0.2, 0.3, 0.5], "p": 1.0})
+        assert main(["dist", "w", prob]) == 2
+        assert "mu must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_prokhorov_nan_weights_exit_2(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json",
+                       {"dist": D3, "weights": [float("nan"), 1.0, 1.0]})
+        assert main(["dist", "prokhorov", f, f]) == 2
+        assert "weights must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_report_nan_weights_exit_2(self, tmp_path):
+        f = write_json(tmp_path / "f.json",
+                       {"dist": D3, "weights": [float("nan"), 1.0, 1.0]})
+        assert main(["report", f]) == 2
+
+    def test_cd_check_nan_endpoint_exit_2(self, tmp_path, capsys):
+        line = tmp_path / "line.json"
+        assert main(["gen", "gaussian-line", "--K", "1", "--half-width", "1",
+                     "--grid", "0.25", "-o", str(line)]) == 0
+        mu0 = "[NaN, 0, 0, 0, 0.5, 0, 0, 0, 0.5]"
+        mu1 = "[0.5, 0, 0, 0, 0.5, 0, 0, 0, 0]"
+        assert main(["cd-check", str(line), "--K", "1", "--mu0", mu0,
+                     "--mu1", mu1]) == 2
+        assert "mu must be finite and nonnegative" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from conftest import random_quasi_metric
 from oracles import row_scan_triangle_violations
 from qmspace import (
     BallSpec,
+    FunkBall,
     MeasuredSpace,
     QuasiMetricSpace,
     SpaceError,
@@ -113,6 +114,17 @@ class TestValidate:
             d[rng.integers(0, n, size=3), rng.integers(0, n, size=3)] *= 1.7
             rep = validate(QuasiMetricSpace(d), tol=1e-9)
             assert rep.triangle_violations == row_scan_triangle_violations(d, 1e-9)
+
+    @pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a negative tol lists (0, 0, 0); a NaN tol lists nothing
+        d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        with pytest.raises(SpaceError, match="tolerance"):
+            validate(QuasiMetricSpace(d), tol=tol)
+
+    def test_zero_tolerance_accepted(self):
+        rep = validate(line_space([0.0, 1.0, 2.5]), tol=0.0)
+        assert rep.valid
 
 
 class TestReversibility:
@@ -336,6 +348,19 @@ class TestConstruction:
         space = line_space([0.0, 1.0])
         with pytest.raises(SpaceError):
             MeasuredSpace(space, np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        space = line_space([0.0, 1.0])
+        with pytest.raises(SpaceError, match="finite and nonnegative"):
+            MeasuredSpace(space, np.array([1.0, bad]))
+
+    def test_coincident_funk_points_rejected(self):
+        # the Gram-form Funk matrix is NaN off the diagonal for two
+        # coincident points; the space refuses it instead of carrying it
+        pts = np.zeros((2, 2))
+        with pytest.raises(SpaceError, match="non-finite entries"):
+            QuasiMetricSpace(FunkBall(2).distance_matrix(pts))
 
     def test_normalized(self):
         space = line_space([0.0, 1.0])

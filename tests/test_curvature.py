@@ -158,6 +158,18 @@ class TestFunctionals:
         U = un_nonlinearity(2.0)
         assert got == pytest.approx(U.u(0.5) + 2.0 * 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_measures_must_be_finite_and_nonnegative(self, bad):
+        U = entropy_nonlinearity()
+        good = np.array([0.5, 0.5])
+        for mu, nu in (([bad, 0.5], good), (good, [bad, 0.5])):
+            with pytest.raises(SpaceError, match="finite and nonnegative"):
+                u_functional(U, mu, nu)
+
+    def test_measure_lengths_must_match(self):
+        with pytest.raises(SpaceError, match="length"):
+            u_functional(entropy_nonlinearity(), [0.5, 0.5], [1 / 3] * 3)
+
     def test_distorted_functional_flat_reduces_to_plain(self, rng):
         ms = euclidean_grid_1d(0.2)
         mu, nu_target = smooth_density_pair(ms, 4)

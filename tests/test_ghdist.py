@@ -183,6 +183,13 @@ class TestProkhorov:
         want = brute_prokhorov(space, [1.0, 0.0], [0.0, 1.0])
         assert got == pytest.approx(want, abs=1e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_weights_must_be_finite_and_nonnegative(self, bad):
+        space = QuasiMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for mu, nu in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [bad, 1.0])):
+            with pytest.raises(SpaceError, match="finite and nonnegative"):
+                prokhorov(space, mu, nu)
+
     def test_nearly_equal_measures_not_rounded_to_zero(self):
         # a relative tolerance in the equality shortcut would call these
         # two measures equal; their distance is the 5e-6 of mass moved

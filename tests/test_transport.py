@@ -85,13 +85,22 @@ class TestWasserstein:
         assert val == pytest.approx(2e-6, rel=1e-6)
         assert coupling.matrix[0, 1] == pytest.approx(2e-6, rel=1e-6)
 
-    def test_non_finite_cost_raises(self):
+    def test_non_finite_distances_raise_at_construction(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-        mu, nu = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
         for bad in (np.nan, np.inf):
             d[1, 2] = bad
-            with pytest.raises(SpaceError, match="non-finite cost"):
-                wasserstein(TransportProblem(QuasiMetricSpace(d), mu, nu))
+            with pytest.raises(SpaceError, match="non-finite entries"):
+                QuasiMetricSpace(d)
+
+    def test_non_finite_cost_raises(self):
+        # finite distances whose p-th power overflows still reach the LP
+        # with an infinite cost, which HiGHS would call optimal
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1e200], [3.0, 1.0, 0.0]])
+        mu, nu = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+        prob = TransportProblem(QuasiMetricSpace(d), mu, nu, 2.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(SpaceError, match="non-finite cost"):
+            wasserstein(prob)
 
     def test_marginal_validation(self):
         space = QuasiMetricSpace(np.zeros((2, 2)))
@@ -100,6 +109,17 @@ class TestWasserstein:
         with pytest.raises(SpaceError):
             TransportProblem(space, np.array([0.5, 0.5]),
                              np.array([0.5, 0.5]), p=0.5)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
+                                     [-0.5, 0.5, 1.0]])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_marginals_must_be_finite_and_nonnegative(self, bad, side):
+        # [-0.5, 0.5, 1.0] has unit mass; a NaN mass passed the mass test
+        space = QuasiMetricSpace(np.ones((3, 3)) - np.eye(3))
+        marginals = [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+        marginals[side] = bad
+        with pytest.raises(SpaceError, match="finite and nonnegative"):
+            TransportProblem(space, *marginals)
 
 
 class TestHighsBindings:
