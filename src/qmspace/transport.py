@@ -9,13 +9,21 @@ problems also expose the Kantorovich-Rubinstein dual over asymmetric
 Every LP goes through ``linprog``, which hands the model to the HiGHS
 bindings that scipy ships, with the options that
 ``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
-pivots and returns the same plan, duals and value as that call.
+pivots and returns the same plan, duals and value as that call.  The
+constraint matrix is built with numpy, and the bindings' extension module
+is loaded from its file in scipy's ``optimize/_highspy`` directory, so a
+solve imports neither ``scipy.optimize`` nor ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +74,8 @@ class TransportProblem:
         nu = _measure(self.nu, self.space.n, "nu")
         if abs(mu.sum() - 1.0) > MASS_TOL or abs(nu.sum() - 1.0) > MASS_TOL:
             raise SpaceError("marginals must sum to 1")
-        if self.p < 1:
-            raise SpaceError("order p must be >= 1")
+        if not 1 <= self.p < np.inf:  # also false for NaN
+            raise SpaceError("order p must be finite and >= 1")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
 
@@ -107,6 +115,50 @@ class Interpolation:
     measures: tuple  # of np.ndarray
 
 
+#: the canonical name of scipy's HiGHS extension module
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's HiGHS extension module, loaded without ``scipy.optimize``.
+
+    Takes the module from ``sys.modules`` if it is there.  Otherwise loads
+    the extension file from scipy's ``optimize/_highspy`` directory and
+    registers it under its canonical name before running it, so a later
+    ``import scipy.optimize`` finds and uses this same module.  This
+    relies on scipy's private file layout, hence the scipy >= 1.17 pin.
+    """
+    module = sys.modules.get(HIGHS_MODULE)
+    if module is None:
+        scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+        base = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+        path = next(base + suffix
+                    for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.exists(base + suffix))
+        spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[HIGHS_MODULE] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+class _CSC(NamedTuple):
+    """A column-compressed matrix with the attributes that ``linprog``
+    reads and that scipy's sparse matrices share."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def tocsc(self):
+        return self
+
+
 def linprog(c, *, A_eq, b_eq):
     """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
 
@@ -116,12 +168,16 @@ def linprog(c, *, A_eq, b_eq):
     and ``nit`` are those of that call.  It skips scipy's loop over
     every column that builds bound duals, which no caller reads.
 
+    A_eq is anything whose ``tocsc()`` has ``indptr``, ``indices``,
+    ``data``, ``shape`` and ``nnz``: a scipy sparse matrix, or the arrays
+    ``_solve_lp`` builds.  Only HiGHS's extension module is loaded
+    (``_highs``), not ``scipy.optimize``.
+
     ``success`` is True when HiGHS finds the model optimal; otherwise
     ``message`` is HiGHS's model status.  A non-finite cost fails before
     HiGHS runs, because HiGHS calls such a model optimal.
     """
-    from scipy.optimize._highspy import _core as highspy
-
+    highspy = _highs()
     a = A_eq.tocsc()
     m, n = a.shape
     c = np.asarray(c, dtype=float)
@@ -161,19 +217,22 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     psi is the c-transform of the row duals u over every column,
     psi[j] = min over rows with mass of cost[i, j] - u[i].
     """
-    from scipy.sparse import eye, kron, vstack
-
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]
     c = cost[np.ix_(keep_r, keep_c)]
     a, b = mu[keep_r], nu[keep_c]
     nr, nc = len(a), len(b)
 
-    # row sums, then column sums; the last column constraint is redundant
-    # (format="csr" keeps kron off its BSR path, which stores zeros)
-    eq = vstack([kron(eye(nr), np.ones((1, nc)), format="csr"),
-                 kron(np.ones((1, nr)), eye(nc - 1, nc), format="csr")],
-                format="csr")
+    # row sums, then column sums; the last column constraint is redundant.
+    # Column k = i * nc + j has a 1 in row i and, for j < nc - 1, in row
+    # nr + j, so k // nc columns with one entry come before column k.
+    k = np.arange(nr * nc + 1, dtype=np.int32)
+    rows = np.empty((nr, nc, 2), dtype=np.int32)
+    rows[..., 0] = np.arange(nr)[:, None]
+    rows[..., 1] = nr + np.arange(nc)
+    indices = rows.reshape(nr, 2 * nc)[:, :-1].ravel()
+    eq = _CSC(2 * k - k // nc, indices, np.ones(len(indices)),
+              (nr + nc - 1, nr * nc))
     res = linprog(c.ravel(), A_eq=eq, b_eq=np.concatenate([a, b[:-1]]))
     if not res.success:
         raise SpaceError(f"transport LP failed: {res.message}")

@@ -366,6 +366,15 @@ class TestNonFiniteInput:
         assert main(["dist", "w", prob]) == 2
         assert "mu must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", [float("inf"), float("nan")])
+    def test_dist_w_non_finite_order_exit_2(self, tmp_path, capsys, p):
+        # "p": Infinity printed "value": 1.0 and exited 0
+        prob = write_json(tmp_path / "prob.json", {
+            "dist": [[0.0, 0.5, 0.4], [0.3, 0.0, 0.2], [0.6, 0.1, 0.0]],
+            "mu": [0.5, 0.5, 0.0], "nu": [0.0, 0.5, 0.5], "p": p})
+        assert main(["dist", "w", prob]) == 2
+        assert "order p must be finite" in capsys.readouterr().err
+
     def test_prokhorov_nan_weights_exit_2(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json",
                        {"dist": D3, "weights": [float("nan"), 1.0, 1.0]})

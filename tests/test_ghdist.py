@@ -199,6 +199,18 @@ class TestProkhorov:
         assert got == pytest.approx(5e-6, abs=2e-9)
         assert got == pytest.approx(brute_prokhorov(space, mu, nu), abs=2e-9)
 
+    def test_measures_a_hair_apart_per_atom_not_rounded_to_zero(self):
+        # every atom moves by 0.9e-9, below the tolerance, but 3.6e-9 of
+        # mass has to move in all, and no two points are that close
+        rng = np.random.default_rng(0)
+        x = rng.random((8, 2))
+        space = QuasiMetricSpace(np.linalg.norm(x[:, None] - x[None], axis=2))
+        mu = np.full(8, 1 / 8)
+        nu = mu + 0.9e-9 * (-1) ** np.arange(8)
+        got = prokhorov(space, mu, nu)
+        assert got > 0.0
+        assert got == brute_prokhorov(space, mu, nu)
+
     @staticmethod
     def _space_and_measures(case, rng, n):
         if case == "grid":  # pitch 0.5 and a one-way toll: many tied levels

@@ -43,6 +43,81 @@ def test_import_and_numpy_only_commands_load_neither_scipy_nor_networkx():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+LP_CHILD = """
+import json, os, sys, tempfile
+from qmspace import cli
+with tempfile.TemporaryDirectory() as tmp:
+    line, prob = os.path.join(tmp, "line.json"), os.path.join(tmp, "prob.json")
+    assert cli.main(["gen", "gaussian-line", "--K", "1", "--half-width", "2",
+                     "--grid", "0.25", "-o", line]) == 0
+    with open(prob, "w") as fh:
+        json.dump({"dist": [[0, 1, 2], [1.5, 0, 1], [2, 1, 0]],
+                   "mu": [0.5, 0.3, 0.2], "nu": [0.2, 0.3, 0.5], "p": 2}, fh)
+    argv = {"w": ["dist", "w", prob],
+            "ineq": ["ineq", line, "--K", "1", "--log-sobolev", "--poincare",
+                     "--hwi"],
+            "cd-check": ["cd-check", line, "--K", "0"]}[sys.argv[1]]
+    assert cli.main(argv + ["-o", os.path.join(tmp, "out.json")]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def _scipy_modules_after(command):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", LP_CHILD, command], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_lp_commands_load_only_the_highs_extension():
+    for command in ("w", "ineq"):
+        loaded = _scipy_modules_after(command)
+        assert loaded
+        assert all(m.startswith(transport.HIGHS_MODULE) for m in loaded), loaded
+
+
+def test_cd_check_loads_no_scipy_optimize_package():
+    loaded = _scipy_modules_after("cd-check")
+    assert transport.HIGHS_MODULE in loaded
+    assert [m for m in loaded if m.startswith("scipy.optimize")
+            and not m.startswith(transport.HIGHS_MODULE)] == []
+
+
+ORDER_CHILD = """
+import sys
+import numpy as np
+from qmspace import QuasiMetricSpace, TransportProblem, transport, wasserstein
+
+def solve():
+    d = np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    value, _ = wasserstein(TransportProblem(QuasiMetricSpace(d),
+                                            [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]))
+    assert abs(value - 0.6) < 1e-12, value
+
+if sys.argv[1] == "solve-first":
+    solve()
+import scipy.optimize
+from scipy.optimize._highspy import _core, _highs_wrapper
+if sys.argv[1] != "solve-first":
+    solve()
+assert transport._highs() is _core is _highs_wrapper._h
+assert sys.modules[transport.HIGHS_MODULE] is _core
+res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                             method="highs")
+assert res.success and res.fun == 1.0, res
+print("ok")
+"""
+
+
+def test_highs_extension_is_one_module_in_either_import_order():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for order in ("solve-first", "scipy-first"):
+        out = subprocess.run([sys.executable, "-c", ORDER_CHILD, order],
+                             env=env, check=True, capture_output=True,
+                             text=True).stdout
+        assert out.split() == ["ok"]
+
+
 class _CountingModule:
     """A module whose function calls are counted by name."""
 

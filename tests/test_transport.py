@@ -23,7 +23,7 @@ from qmspace import transport
 from qmspace.transport import default_hop_radius
 
 
-from oracles import polytope_vertex_minimum
+from oracles import polytope_vertex_minimum, transport_constraints
 
 
 class TestWasserstein:
@@ -110,6 +110,15 @@ class TestWasserstein:
             TransportProblem(space, np.array([0.5, 0.5]),
                              np.array([0.5, 0.5]), p=0.5)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_order_must_be_finite(self, p):
+        # d ** inf is all zeros here and 0 ** (1 / inf) is 1, so W_inf
+        # came out as 1.0; at NaN, equal marginals gave 0.0
+        d = np.array([[0.0, 0.5, 0.4], [0.3, 0.0, 0.2], [0.6, 0.1, 0.0]])
+        with pytest.raises(SpaceError, match="order p must be finite"):
+            TransportProblem(QuasiMetricSpace(d), [0.5, 0.5, 0.0],
+                             [0.0, 0.5, 0.5], p)
+
     @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
                                      [-0.5, 0.5, 1.0]])
     @pytest.mark.parametrize("side", [0, 1])
@@ -126,9 +135,8 @@ class TestHighsBindings:
     """transport.linprog takes the pivots of scipy's linprog(method="highs")."""
 
     @staticmethod
-    def _lps(monkeypatch, cost, mu, nu):
-        """The LP _solve_lp builds, transport.linprog's answer and scipy's."""
-        from scipy.optimize import linprog as scipy_linprog
+    def _captured_lp(monkeypatch, cost, mu, nu):
+        """The (c, A_eq, b_eq) that _solve_lp hands to linprog, and its plan."""
         seen = []
         ours = transport.linprog
 
@@ -138,8 +146,20 @@ class TestHighsBindings:
 
         monkeypatch.setattr(transport, "linprog", record)
         _, plan, _ = transport._solve_lp(cost, mu, nu)
-        (c, a_eq, b_eq), = seen
-        want = scipy_linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+        (lp,) = seen
+        return lp, plan
+
+    @classmethod
+    def _lps(cls, monkeypatch, cost, mu, nu):
+        """The LP _solve_lp builds, transport.linprog's answer and scipy's."""
+        from scipy.optimize import linprog as scipy_linprog
+        from scipy.sparse import csc_array
+        ours = transport.linprog
+        (c, a_eq, b_eq), plan = cls._captured_lp(monkeypatch, cost, mu, nu)
+        # scipy's linprog reads only its own sparse types
+        a_scipy = csc_array((a_eq.data, a_eq.indices, a_eq.indptr),
+                            shape=a_eq.shape)
+        want = scipy_linprog(c, A_eq=a_scipy, b_eq=b_eq, bounds=(0, None),
                              method="highs")
         return ours(c, A_eq=a_eq, b_eq=b_eq), want, plan
 
@@ -191,6 +211,26 @@ class TestHighsBindings:
         got, want, _ = self._lps(monkeypatch, space.dist, mu, nu / nu.sum())
         assert len(got.x) == 12
         self._assert_same(got, want)
+
+    @pytest.mark.parametrize("nr", [1, 2, 3, 17])
+    @pytest.mark.parametrize("nc", [1, 2, 3, 17])
+    def test_constraints_match_sparse_construction(self, monkeypatch, rng,
+                                                    nr, nc):
+        # zero-mass rows and columns are dropped before the LP is built
+        n = 20
+        mu, nu = np.zeros(n), np.zeros(n)
+        mu[rng.choice(n, nr, replace=False)] = rng.random(nr) + 0.1
+        nu[rng.choice(n, nc, replace=False)] = rng.random(nc) + 0.1
+        (_, got, _), _ = self._captured_lp(
+            monkeypatch, random_quasi_metric(rng, n).dist,
+            mu / mu.sum(), nu / nu.sum())
+        want = transport_constraints(nr, nc)
+        assert got.shape == want.shape
+        assert got.nnz == want.nnz
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
     def test_infeasible_is_not_success(self):
         from scipy.sparse import csr_array
