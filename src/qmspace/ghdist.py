@@ -5,9 +5,11 @@ computable directly; what is computable is the two-sided bracket coming
 from epsilon-isometries: the minimal isometry defect m of a map between
 the spaces pins the admissible-gluing distance between m/(1+theta) and
 2m.  Prokhorov distances between measures on one space are computed
-exactly by binary search with a max-flow feasibility test; the excess a
-flow solve measures only changes where eps crosses a distance value, so
-each search solves one flow per direction and distance level it visits.
+exactly by binary search with a max-flow feasibility test (Strassen's
+condition), solved by shortest augmenting paths over numpy arrays.  The
+excess a flow solve measures only changes where eps crosses a distance
+value, so each search solves one flow per direction and distance level
+it visits.
 The local search for epsilon-isometries scores each move of a point from
 the distortion and covering terms that move changes, with the same
 floats a full re-scoring gives.
@@ -41,6 +43,8 @@ __all__ = [
     "ghp_upper",
 ]
 
+# nothing in qmspace calls this: perfbench/tracing.py reads
+# ``nx.maximum_flow_value`` when it installs its hooks
 nx = _OnFirstCall("networkx")
 
 #: enumerate all maps exactly when |target|^|source| is at most this
@@ -155,9 +159,12 @@ def _move_defects(dx, dy, a, points):
 def _first_move(dx, dy, a, cur):
     """First point, in index order, with a target that beats ``cur``.
 
-    Returns (point, target, defect) for the best target of that point, or
-    None at a local minimum.  Points are scored in index-order batches
-    of ``MOVE_BATCH_ELEMS // max(m, n)**2`` points, at least one.
+    A target beats ``cur`` when its defect is below ``cur`` by more than
+    a 2**-50 share of it, so rescaling both spaces by a power of 2 moves
+    the same points.  Returns (point, target, defect) for the best target
+    of that point, or None at a local minimum.  Points are scored in
+    index-order batches of ``MOVE_BATCH_ELEMS // max(m, n)**2`` points,
+    at least one.
     """
     m, n = len(a), len(dy)
     batch = max(1, MOVE_BATCH_ELEMS // max(m, n) ** 2)
@@ -165,7 +172,7 @@ def _first_move(dx, dy, a, cur):
         points = np.arange(lo, min(lo + batch, m))
         defects = _move_defects(dx, dy, a, points)
         best = defects.min(axis=1)
-        hit = np.flatnonzero(best < cur - 1e-15)
+        hit = np.flatnonzero(best < cur * (1 - 2**-50))
         if hit.size:
             j = hit[0]
             return points[j], int(np.argmin(defects[j])), float(best[j])
@@ -267,33 +274,81 @@ def gh_bracket(X: QuasiMetricSpace, Y: QuasiMetricSpace,
     )
 
 
+def _max_flow(usable: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """Value of a maximum flow through the bipartite excess graph.
+
+    The source feeds point i with capacity mu_i, i sends to j without
+    limit where ``usable[i, j]``, and j drains into the sink with
+    capacity nu_j.  A greedy start sends each i's mass to its usable
+    targets in index order; shortest augmenting paths (Edmonds-Karp) then
+    finish the flow.  Each BFS layer is one array step: forward along the
+    usable edges of the front, backward along the edges that carry flow.
+    Every shipment subtracts a residual from itself, so the bottleneck
+    goes to exactly 0 and the Edmonds-Karp bound on augments holds.
+    """
+    src, snk = mu.copy(), nu.copy()  # residuals of the source and sink edges
+    flow = np.zeros(usable.shape)
+    total = 0.0
+    for i in np.flatnonzero(src > 0):
+        for j in np.flatnonzero(usable[i] & (snk > 0)):
+            x = min(src[i], snk[j])
+            flow[i, j] = x
+            src[i] -= x
+            snk[j] -= x
+            total += x
+            if src[i] == 0.0:
+                break
+    while True:
+        # parent of each reached node: row i from column j (-1: the
+        # source), column j from row i; -2 marks unreached nodes
+        row_from = np.full(len(mu), -2)
+        col_from = np.full(len(nu), -2)
+        front = np.flatnonzero(src > 0)
+        row_from[front] = -1
+        end = -1
+        while front.size:
+            reach = usable[front]
+            cols = np.flatnonzero(reach.any(axis=0) & (col_from == -2))
+            col_from[cols] = front[reach[:, cols].argmax(axis=0)]
+            hit = cols[snk[cols] > 0]
+            if hit.size:
+                end = hit[0]
+            if hit.size or not cols.size:
+                break
+            back = flow[:, cols] > 0
+            front = np.flatnonzero(back.any(axis=1) & (row_from == -2))
+            row_from[front] = cols[back[front].argmax(axis=1)]
+        if end < 0:
+            return total
+        # walk back to the source: forward edges (i, j), backward (i, j')
+        fwd, bwd = [], []
+        j = end
+        while True:
+            i = col_from[j]
+            fwd.append((i, j))
+            j = row_from[i]
+            if j == -1:
+                break
+            bwd.append((i, j))
+        start = fwd[-1][0]
+        x = min([snk[end], src[start]] + [flow[e] for e in bwd])
+        snk[end] -= x
+        src[start] -= x
+        for e in fwd:
+            flow[e] += x
+        for e in bwd:
+            flow[e] -= x
+        total += x
+
+
 def _excess(d: np.ndarray, mu: np.ndarray, nu: np.ndarray, eps: float) -> float:
     """sup over sets A of mu(A) - nu(A^eps), via max-flow min-cut.
 
     A^eps is the open forward fattening {y : min_{a in A} d(a, y) < eps}.
-    Integer nodes (i, n + j, source 2n, sink 2n + 1) keep the flow value
-    independent of PYTHONHASHSEED; networkx's default preflow-push can
-    raise on float capacities, augmenting paths do not.
+    The supremum is mu's mass minus a maximum flow that ships mu to nu
+    along the edges {d < eps} (Strassen 1965).
     """
-    # a real import: ``nx`` is a stand-in that only forwards calls
-    from networkx.algorithms.flow import shortest_augmenting_path
-
-    n = len(mu)
-    s, t = 2 * n, 2 * n + 1
-    g = nx.DiGraph()
-    big = float(mu.sum() + nu.sum() + 1.0)
-    for i in range(n):
-        if mu[i] > 0:
-            g.add_edge(s, i, capacity=float(mu[i]))
-        if nu[i] > 0:
-            g.add_edge(n + i, t, capacity=float(nu[i]))
-    rows, cols = np.nonzero(d < eps)
-    for i, j in zip(rows, cols):
-        g.add_edge(int(i), n + int(j), capacity=big)
-    if s not in g or t not in g:
-        return float(mu.sum())
-    flow = nx.maximum_flow_value(g, s, t, flow_func=shortest_augmenting_path)
-    return float(mu.sum() - flow)
+    return float(mu.sum() - _max_flow(d < eps, mu, nu))
 
 
 def prokhorov(space: QuasiMetricSpace, mu, nu) -> float:

@@ -121,6 +121,35 @@ def transport_constraints(nr, nc):
                   format="csr").tocsc()
 
 
+def networkx_excess(d, mu, nu, eps):
+    """sup over sets A of mu(A) - nu(A^eps) as networkx's maximum flow:
+    ``ghdist._excess`` before it had a flow solver of its own.
+
+    Integer nodes (i, n + j, source 2n, sink 2n + 1) keep the flow value
+    independent of PYTHONHASHSEED; networkx's default preflow-push can
+    raise on float capacities, augmenting paths do not.
+    """
+    import networkx as nx
+    from networkx.algorithms.flow import shortest_augmenting_path
+
+    n = len(mu)
+    s, t = 2 * n, 2 * n + 1
+    g = nx.DiGraph()
+    big = float(mu.sum() + nu.sum() + 1.0)
+    for i in range(n):
+        if mu[i] > 0:
+            g.add_edge(s, i, capacity=float(mu[i]))
+        if nu[i] > 0:
+            g.add_edge(n + i, t, capacity=float(nu[i]))
+    rows, cols = np.nonzero(d < eps)
+    for i, j in zip(rows, cols):
+        g.add_edge(int(i), n + int(j), capacity=big)
+    if s not in g or t not in g:
+        return float(mu.sum())
+    flow = nx.maximum_flow_value(g, s, t, flow_func=shortest_augmenting_path)
+    return float(mu.sum() - flow)
+
+
 def bisect_prokhorov(space, mu, nu):
     """The bisection of ``ghdist.prokhorov`` without its memo: every step
     solves the flow of each inequality it checks with ``ghdist._excess``."""
@@ -169,7 +198,7 @@ def rescoring_iso_defect(X, Y, seed=0):
                 cand[:, i] = np.arange(n)
                 scores = defects(cand)
                 k = int(np.argmin(scores))
-                if scores[k] < cur - 1e-15:
+                if scores[k] < cur * (1 - 2**-50):
                     a[i], cur = k, float(scores[k])
                     break
             else:

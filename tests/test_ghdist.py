@@ -28,8 +28,18 @@ from oracles import (
     bisect_prokhorov,
     brute_iso_defect,
     brute_prokhorov,
+    networkx_excess,
     rescoring_iso_defect,
 )
+
+
+def closed_quasi_metric(rng, n):
+    """Floyd-Warshall closure of a uniform random matrix, zero diagonal."""
+    d = rng.random((n, n))
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[k])
+    return d
 
 
 def test_distortion_hand_value():
@@ -121,6 +131,19 @@ class TestIsoDefect:
             assert res.heuristic
             assert res.defect == defect
             assert np.array_equal(res.map.assignment, assignment)
+
+    @pytest.mark.parametrize("j", [-60, 0, 20])
+    def test_local_search_moves_are_scale_free(self, j):
+        # an absolute improvement threshold of 1e-15 stopped the search at
+        # its start once every distance was 1e-15 or smaller
+        rng = np.random.default_rng(1)
+        dx, dy = closed_quasi_metric(rng, 12), closed_quasi_metric(rng, 12)
+        k = 2.0 ** j
+        res = iso_defect(QuasiMetricSpace(k * dx), QuasiMetricSpace(k * dy))
+        ref = iso_defect(QuasiMetricSpace(dx), QuasiMetricSpace(dy))
+        assert res.heuristic
+        assert res.defect / k == ref.defect == 0.2675387948337157
+        assert np.array_equal(res.map.assignment, ref.map.assignment)
 
     def test_scaled_copy_defect(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -230,13 +253,13 @@ class TestProkhorov:
     @pytest.mark.parametrize("case", ["random", "grid", "glued"])
     def test_level_memo_matches_plain_bisection(self, case, rng, monkeypatch):
         calls = {"n": 0}
-        flow = ghdist.nx.maximum_flow_value
+        flow = ghdist._max_flow
 
         def counted(*args, **kwargs):
             calls["n"] += 1
             return flow(*args, **kwargs)
 
-        monkeypatch.setattr(ghdist.nx, "maximum_flow_value", counted)
+        monkeypatch.setattr(ghdist, "_max_flow", counted)
         for n in range(5, 9):
             space, mu, nu = self._space_and_measures(case, rng, n)
             calls["n"] = 0
@@ -245,6 +268,53 @@ class TestProkhorov:
             calls["n"] = 0
             assert prokhorov(space, mu, nu) == want
             assert 0 < calls["n"] <= plain / 2
+
+    @staticmethod
+    def _networkx_case(case, rng):
+        n = int(rng.integers(5, 41))
+        d = closed_quasi_metric(rng, n)
+        mu, nu = rng.random(n), rng.random(n)
+        if case == "zero-atoms":
+            mu[rng.random(n) < 0.3] = 0.0
+            nu[rng.random(n) < 0.3] = 0.0
+        elif case == "u16":
+            mu, nu = mu ** 16, nu ** 16
+        elif case == "zero-measure":
+            mu[:] = 0.0
+        elif case == "far-apart":  # the answer is below every off-diagonal distance
+            d = d + 2.0 * (1.0 - np.eye(n))
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+        elif case == "one-point":
+            d, mu, nu = d[:1, :1], mu[:1], nu[:1]
+        return d, mu, nu
+
+    @pytest.mark.parametrize("case", ["plain", "zero-atoms", "u16", "zero-measure",
+                                      "far-apart", "one-point"])
+    def test_matches_networkx_flow(self, case, monkeypatch):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(4):
+            d, mu, nu = self._networkx_case(case, rng)
+            space = QuasiMetricSpace(d)
+            got = prokhorov(space, mu, nu)
+            with monkeypatch.context() as m:
+                m.setattr(ghdist, "_excess", networkx_excess)
+                assert got == prokhorov(space, mu, nu)
+            off = d[~np.eye(len(d), dtype=bool)]
+            below = 0.5 * off.min() if off.size else 1.0
+            for eps in (below, np.median(d), d.max()):
+                for a, b in ((mu, nu), (nu, mu)):
+                    assert (abs(ghdist._excess(d, a, b, eps) - networkx_excess(d, a, b, eps))
+                            <= 1e-15 * a.sum())
+
+    @pytest.mark.parametrize("seed", range(0, 120, 4))
+    def test_skewed_masses_match_subset_oracle(self, seed):
+        # U^8 masses on closed 3-9-point quasi-metrics; the same holds for
+        # every seed in range(120)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        space = QuasiMetricSpace(closed_quasi_metric(rng, n))
+        mu, nu = rng.random(n) ** 8, rng.random(n) ** 8
+        assert prokhorov(space, mu, nu) == brute_prokhorov(space, mu, nu)
 
     @pytest.mark.parametrize("seed", [2, 8, 9])
     def test_float_capacities_match_subset_oracle(self, seed):

@@ -1,5 +1,6 @@
-"""scipy and networkx are imported on first use, and every call into them
-resolves through a module-level name that a caller can replace."""
+"""scipy is imported on first use and networkx not at all, and every
+solver call resolves through a module-level name that a caller can
+replace."""
 
 import collections
 import json
@@ -27,9 +28,17 @@ with tempfile.TemporaryDirectory() as tmp:
                      "--clip-r", "1", "-o", path]) == 0
     assert cli.main(["gen", "randers-torus", "--grid", "1.0",
                      "-o", os.path.join(tmp, "torus.json")]) == 0
+    with open(path) as fh:
+        other = json.load(fh)
+    other["weights"] = other["weights"][::-1]
+    with open(os.path.join(tmp, "reversed.json"), "w") as fh:
+        json.dump(other, fh)
+    torus = os.path.join(tmp, "torus.json")
     for argv in (["validate", path], ["report", path],
                  ["dist", "gh", path, path, "--theta", "6"],
-                 ["dist", "hausdorff", path, "--set-a", "0", "--set-b", "1"]):
+                 ["dist", "hausdorff", path, "--set-a", "0", "--set-b", "1"],
+                 ["dist", "prokhorov", path, os.path.join(tmp, "reversed.json")],
+                 ["dist", "ghp", torus, torus, "--theta", "3"]):
         assert cli.main(argv) == 0
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] in ("scipy", "networkx"))))
@@ -37,6 +46,7 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 def test_import_and_numpy_only_commands_load_neither_scipy_nor_networkx():
+    # dist prokhorov and dist ghp solve their maximum flows with numpy
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -118,17 +128,6 @@ def test_highs_extension_is_one_module_in_either_import_order():
         assert out.split() == ["ok"]
 
 
-class _CountingModule:
-    """A module whose function calls are counted by name."""
-
-    def __init__(self, module, calls):
-        self._module = module
-        self._calls = calls
-
-    def __getattr__(self, name):
-        return _counted(self._calls, name, getattr(self._module, name))
-
-
 def _counted(calls, key, fn):
     def wrapper(*args, **kwargs):
         calls[key] += 1
@@ -144,7 +143,8 @@ def test_solvers_call_through_the_module_attributes(monkeypatch):
                         _counted(calls, "transport.dijkstra", transport.dijkstra))
     monkeypatch.setattr(core, "dijkstra",
                         _counted(calls, "core.dijkstra", core.dijkstra))
-    monkeypatch.setattr(ghdist, "nx", _CountingModule(ghdist.nx, calls))
+    monkeypatch.setattr(ghdist, "_max_flow",
+                        _counted(calls, "_max_flow", ghdist._max_flow))
 
     x = np.arange(6.0)
     gap = x[None, :] - x[:, None]
@@ -159,4 +159,4 @@ def test_solvers_call_through_the_module_attributes(monkeypatch):
     transport.dynamical_plan(space, coupling)
     assert calls["transport.dijkstra"] == 1
     ghdist.prokhorov(space, mu, nu)
-    assert calls["maximum_flow_value"] > 0
+    assert calls["_max_flow"] > 0
