@@ -53,8 +53,8 @@ class _OnFirstCall:
     """Stand-in for a module that is imported when one of its functions is
     first called.
 
-    scipy and networkx take most of a second to import; this keeps them
-    out of ``import qmspace`` and out of commands that never call them.
+    networkx takes most of a second to import; this keeps it out of
+    ``import qmspace`` and out of commands that never call it.
     Reading an attribute imports nothing, so the attribute can be read,
     wrapped and replaced like a module-level name.
     """
@@ -75,7 +75,139 @@ class _OnFirstCall:
         return call
 
 
-dijkstra = _OnFirstCall("scipy.sparse.csgraph").dijkstra
+#: hop entries one vectorized step of ``dijkstra`` expands, about; bounds
+#: its working memory on large inputs
+_HOP_BLOCK = 1 << 20
+
+
+def _fan_out(entries: np.ndarray, n: int, ptr: np.ndarray):
+    """Flat (row, point) entries, each once per hop of its point k, where
+    hops ptr[k]:ptr[k + 1] of a hop list are k's, in blocks of about
+    _HOP_BLOCK: (entries, the entries repeated, their hop indices, each
+    entry's hop count) per block."""
+    blocks = -(-len(entries) * int(ptr[-1]) // max(n * _HOP_BLOCK, 1))  # rounded up
+    for part in np.array_split(entries, blocks) if blocks else ():
+        k = part % n
+        count = ptr[k + 1] - ptr[k]
+        end = np.cumsum(count)
+        hop = np.arange(count.sum()) + np.repeat(ptr[k + 1] - end, count)
+        yield part, np.repeat(part, count), hop, count
+
+
+def dijkstra(d: np.ndarray, radius: float, sources=None, limit=np.inf,
+             return_predecessors: bool = False):
+    """Shortest hop chains from each source, as Dijkstra's algorithm finds
+    them.
+
+    A hop is a pair i != j with 0 < d[i, j] < radius, and a chain's length
+    is the sum of its hop distances taken left to right in floating point.
+    Returns ``dist``, or ``(dist, pred)`` with ``return_predecessors``, with
+    one row per source (every point when ``sources`` is None):
+
+    - ``dist[a, j]`` is the least length of a chain from ``sources[a]`` to
+      j.  Rounded addition is monotone, so this is bitwise the value
+      Dijkstra's algorithm computes.  It is inf where no chain exists or
+      where the least length exceeds ``limit`` (>= 0; a scalar or one value
+      per source), as with scipy's ``dijkstra(limit=...)``.
+    - ``pred[a, j]`` is the point before j on a shortest chain, -1 at the
+      source and where dist is inf.  A hop k -> j is tight when
+      dist[a, k] + d[k, j] == dist[a, j].  The rule: among the tight hops
+      with dist[a, k] < dist[a, j], the least dist[a, k], then the lowest
+      index k.  Dijkstra's algorithm also takes a least-distance tight
+      hop, but breaks exact ties by its heap order.  Points with no tight
+      hop from a smaller distance (every tight hop is shorter than half
+      an ulp of dist[a, j], so the sum rounds back to it) take theirs in
+      rounds: in each, those with a tight hop from the source or from a
+      point that has its predecessor take the lowest such k.  So
+      following ``pred`` from any point reaches the source: the
+      predecessors form a tree, as Dijkstra's do.
+
+    Label-correcting rounds over all sources at once: each round extends
+    by one hop every entry that fell in the round before, and the rounds
+    stop when none falls.  The work grows with the entries within the
+    limit, not with the number of points.  All pairs with no limit and
+    no predecessors go to scipy's Dijkstra instead, which is faster there
+    and gives the same distances.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    hops = (d > 0) & (d < radius)
+    np.fill_diagonal(hops, False)
+    all_pairs = sources is None and np.all(np.asarray(limit) == np.inf)
+    if all_pairs and not return_predecessors:
+        from scipy.sparse import csr_array  # 0.3 s: only when needed
+        from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+        # csr_array drops only exact zeros (csgraph's dense input would
+        # also drop entries within 1e-8 of zero)
+        return csgraph_dijkstra(csr_array(np.where(hops, d, 0.0)), directed=True)
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.intp)
+    tail, head = np.nonzero(hops)  # by tail, then head
+    length, step = d[tail, head], head - tail
+    out = np.searchsorted(tail, np.arange(n + 1))
+    # an entry above its row's limit is never written: it starts just above
+    cap = np.repeat(np.nextafter(np.broadcast_to(
+        np.asarray(limit, dtype=float), sources.shape), np.inf), n)
+    dist = cap.copy()
+    front = np.arange(len(sources)) * n + sources
+    dist[front] = 0.0
+    fell = np.zeros(dist.size, dtype=bool)
+    while front.size:
+        for _, at, hop, _ in _fan_out(front, n, out):
+            cand = dist[at] + length[hop]
+            at += step[hop]
+            better = cand < dist[at]
+            at = at[better]
+            np.minimum.at(dist, at, cand[better])
+            fell[at] = True
+        front = np.flatnonzero(fell)
+        fell[front] = False
+    dist[dist == cap] = np.inf
+    shape = (len(sources), n)
+    if not return_predecessors:
+        return dist.reshape(shape)
+
+    pred = np.full(dist.size, -1)
+    into = np.lexsort((tail, head))  # hops by head, then tail
+    ptr = np.searchsorted(head[into], np.arange(n + 1))
+    reached = np.flatnonzero((dist > 0) & (dist < np.inf))
+    flat = [reached[:0]]  # entries whose every tight hop keeps their distance
+    for part, at, hop, count in _fan_out(reached, n, ptr):
+        hop = into[hop]
+        via = dist[at - head[hop] + tail[hop]]
+        key = np.where((via < dist[at]) & (via + length[hop] == dist[at]),
+                       via, np.inf)
+        first = np.cumsum(count) - count
+        least = np.repeat(np.minimum.reduceat(key, first), count)
+        pos = np.where((key == least) & (key < np.inf), np.arange(len(key)),
+                       len(key))
+        pick = np.minimum.reduceat(pos, first)
+        has = pick < len(key)
+        pred[part[has]] = tail[hop[pick[has]]]
+        flat.append(part[~has])
+    # Flat entries take their predecessor in rounds, each from the entries
+    # settled before it, so no chain of them closes on itself.  Each round
+    # settles at least one: of the flat entries left, the one whose
+    # distance was set first has a tight hop from a settled entry.
+    settled = pred >= 0
+    settled[dist == 0.0] = True
+    flat = np.concatenate(flat)
+    while flat.size:
+        pick = []
+        for _, at, hop, count in _fan_out(flat, n, ptr):
+            hop = into[hop]
+            k = at - head[hop] + tail[hop]
+            tight = settled[k] & (dist[k] + length[hop] == dist[at])
+            pick.append(np.minimum.reduceat(np.where(tight, tail[hop], n),
+                                            np.cumsum(count) - count))
+        pick = np.concatenate(pick)
+        has = pick < n
+        if not has.any():
+            raise RuntimeError("dijkstra: a flat entry has no settled hop")
+        pred[flat[has]] = pick[has]
+        settled[flat[has]] = True
+        flat = flat[~has]
+    return dist.reshape(shape), pred.reshape(shape)
 
 
 def _measure(w, n: int, what: str) -> np.ndarray:
@@ -332,15 +464,6 @@ def path_length(space: QuasiMetricSpace, path) -> float:
     return float(sum(space.dist[a, b] for a, b in zip(p, p[1:])))
 
 
-def _hop_graph(d: np.ndarray, radius: float):
-    """Directed graph (scipy CSR) of the hops d(i, j) < radius, i != j,
-    weighted by d."""
-    from scipy.sparse import csr_matrix
-
-    hops = (d < radius) & ~np.eye(d.shape[0], dtype=bool)
-    return csr_matrix(np.where(hops, d, 0.0))
-
-
 def _pitch(space: QuasiMetricSpace) -> float:
     """Largest nearest-out-neighbor distance: the sampling pitch."""
     if space.n < 2:
@@ -358,7 +481,7 @@ def induced_length_metric(
     second application with the same radius.  Raises when the hop graph
     is not strongly connected.
     """
-    out = dijkstra(_hop_graph(space.dist, neighbor_radius), directed=True)
+    out = dijkstra(space.dist, neighbor_radius)
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise SpaceError(

@@ -94,6 +94,32 @@ def load_space(path: str):
     return _space_from_dict(_load_object(path))
 
 
+def _dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=1)``, byte for byte, at nesting ``level``.
+
+    Any ``indent`` sends json to its pure-Python encoder, which spends
+    most of a space file's save on the distance matrix.  Here a list of
+    finite floats is joined from ``float.__repr__``, as json writes each
+    float; dicts with string keys and other lists recurse; everything
+    else, non-finite floats included, goes through ``json.dumps``.
+    """
+    inner = "\n" + " " * (level + 1)
+    close = "\n" + " " * level
+    if isinstance(value, list) and value:
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            text = "n"
+        if "n" in text:  # "nan", "inf", or not all floats
+            text = ("," + inner).join(_dumps(v, level + 1) for v in value)
+        return "[" + inner + text + close + "]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _dumps(v, level + 1)
+            for k, v in value.items()) + close + "}"
+    return json.dumps(value, indent=1).replace("\n", close)
+
+
 def _space_to_dict(space, metadata: dict | None = None) -> dict:
     if isinstance(space, MeasuredSpace):
         out = _space_to_dict(space.space)
@@ -110,8 +136,7 @@ def _space_to_dict(space, metadata: dict | None = None) -> dict:
 
 
 def save_space(path: str, space, metadata: dict | None = None):
-    write_atomic(path, json.dumps(_space_to_dict(space, metadata), indent=1)
-                 + "\n")
+    write_atomic(path, _dumps(_space_to_dict(space, metadata)) + "\n")
 
 
 def load_problem(path: str) -> TransportProblem:
@@ -129,7 +154,7 @@ def save_problem(path: str, problem: TransportProblem):
     obj["mu"] = problem.mu.tolist()
     obj["nu"] = problem.nu.tolist()
     obj["p"] = problem.p
-    write_atomic(path, json.dumps(obj, indent=1) + "\n")
+    write_atomic(path, _dumps(obj) + "\n")
 
 
 def plan_triplets(plan: np.ndarray):

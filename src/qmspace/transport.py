@@ -32,7 +32,6 @@ from .core import (
     MeasuredSpace,
     QuasiMetricSpace,
     SpaceError,
-    _hop_graph,
     _measure,
     _pitch,
     dijkstra,
@@ -338,27 +337,38 @@ def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling) -> DynamicalPlan
     Chains live on the hop graph of forward distances below
     default_hop_radius(space); a pair whose best chain exceeds
     d(i, j) * (1 + CHAIN_TOL) means the sampling is not approximately
-    geodesic at this resolution and raises.
+    geodesic at this resolution and raises.  Each chain is a shortest one
+    from ``dijkstra``: where several are equally short, every point's
+    predecessor is the tight one with the least distance from i, then the
+    lowest index (``dijkstra`` documents the rule in full).  The search
+    from i stops at the largest bound of its pairs.
     """
     d = space.dist
     pi = coupling.matrix
     sources = np.nonzero(pi.sum(axis=1) > MASS_TOL)[0]
-    graph = _hop_graph(d, default_hop_radius(space))
-    dist_out, pred = dijkstra(graph, directed=True, indices=sources,
+    support = pi[sources] > MASS_TOL
+    bound = d[sources] * (1 + CHAIN_TOL) + MASS_TOL
+    radius = default_hop_radius(space)
+    dist_out, pred = dijkstra(d, radius, sources,
+                              np.where(support, bound, 0.0).max(axis=1, initial=0.0),
                               return_predecessors=True)
     chains = {}
-    for si, i in enumerate(sources):
-        for j in np.nonzero(pi[i] > MASS_TOL)[0]:
-            length = dist_out[si, j]
-            if not np.isfinite(length) or length > d[i, j] * (1 + CHAIN_TOL) + MASS_TOL:
-                raise SpaceError(
-                    f"no chain from {i} to {j} within tolerance: best "
-                    f"{length:.6g} vs direct {d[i, j]:.6g}"
-                )
-            path = [int(j)]
-            while path[-1] != i:
-                path.append(int(pred[si, path[-1]]))
-            chains[(int(i), int(j))] = tuple(reversed(path))
+    for si, j in zip(*np.nonzero(support)):
+        i = sources[si]
+        if not dist_out[si, j] <= bound[si, j]:
+            # the search above stops at the bound; the message gives the
+            # best chain, so search once more without one
+            best = dijkstra(d, radius, [i])[0, j]
+            raise SpaceError(
+                f"no chain from {i} to {j} within tolerance: best "
+                f"{best:.6g} vs direct {d[i, j]:.6g}"
+            )
+        path = [int(j)]
+        while path[-1] != i:
+            if len(path) > space.n:
+                raise SpaceError(f"chain from {i} to {j} does not end at {i}")
+            path.append(int(pred[si, path[-1]]))
+        chains[(int(i), int(j))] = tuple(reversed(path))
     return DynamicalPlan(space, coupling, chains)
 
 

@@ -121,6 +121,39 @@ def transport_constraints(nr, nc):
                   format="csr").tocsc()
 
 
+def csgraph_chains(d, radius, sources=None, limit=np.inf):
+    """scipy's Dijkstra on the hops d(i, j) < radius, i != j: ``(dist,
+    pred)`` as ``core`` computed them before it had a routine of its own,
+    with pred -9999 where there is none."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    hops = (d < radius) & ~np.eye(d.shape[0], dtype=bool)
+    return dijkstra(csr_matrix(np.where(hops, d, 0.0)), directed=True,
+                    indices=sources, return_predecessors=True, limit=limit)
+
+
+def least_tight_hops(d, radius, dist, sources):
+    """For each row a and point j with finite dist[a, j] > 0, the hops
+    k -> j with dist[a, k] + d[k, j] == dist[a, j], dist[a, k] < dist[a, j]
+    and the least dist[a, k]: (lowest such k, how many), -1 and 0
+    elsewhere."""
+    n = d.shape[0]
+    hops = (d > 0) & (d < radius) & ~np.eye(n, dtype=bool)
+    lowest = np.full(dist.shape, -1)
+    count = np.zeros(dist.shape, dtype=int)
+    for a in range(len(sources)):
+        row = dist[a]
+        tight = (hops & (row[:, None] + d == row[None, :])
+                 & (row[:, None] < row[None, :]))
+        key = np.where(tight, row[:, None], np.inf)
+        least = tight & (key == key.min(axis=0))
+        has = least.any(axis=0)
+        lowest[a, has] = least.argmax(axis=0)[has]
+        count[a, has] = least.sum(axis=0)[has]
+    return lowest, count
+
+
 def networkx_excess(d, mu, nu, eps):
     """sup over sets A of mu(A) - nu(A^eps) as networkx's maximum flow:
     ``ghdist._excess`` before it had a flow solver of its own.

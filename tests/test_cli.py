@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmspace import (
     MeasuredSpace,
@@ -14,6 +16,7 @@ from qmspace import (
 )
 from qmspace.cli import main
 from qmspace.io import (
+    _dumps,
     fmt,
     load_problem,
     load_space,
@@ -57,6 +60,52 @@ class TestIo:
         again = load_problem(str(path))
         assert again.p == 2.0
         assert np.allclose(again.mu, [0.3, 0.7])
+
+    @pytest.mark.parametrize("coords, weights, basepoint, metadata", [
+        (False, False, None, None),
+        (True, False, None, {}),
+        (False, True, None, {"model": "funk", "n": 3}),
+        (True, True, 2, {"model": "funk", "b": [0.5, -0.0],
+                         "nested": {"x": [[1.0], []], "s": "a\nb\u00e9"}}),
+        (True, True, 0, {"inf": np.inf, "nan": np.nan, "mix": [1.0, np.inf, 2],
+                         "ints": [1, 2], "bools": [True, False], "none": None,
+                         "empty": [], "tiny": [5e-324, -0.0, 1e300]}),
+    ])
+    def test_save_writes_what_json_dumps_writes(self, tmp_path, coords,
+                                                 weights, basepoint, metadata):
+        d = np.array([[0.0, 5e-324, 1e300], [-0.0, 0.0, 1 / 3], [2.0, 0.1, 0.0]])
+        space = QuasiMetricSpace(d, np.arange(6.0).reshape(3, 2) / 7
+                                 if coords else None)
+        if weights:
+            space = MeasuredSpace(space, [0.2, 0.3, 1e-17], basepoint)
+        path = tmp_path / "s.json"
+        save_space(str(path), space, metadata=metadata)
+        want = {"n": 3, "dist": d.tolist()}
+        if coords:
+            want["coords"] = (np.arange(6.0).reshape(3, 2) / 7).tolist()
+        if weights:
+            want["weights"] = [0.2, 0.3, 1e-17]
+            if basepoint is not None:
+                want["basepoint"] = basepoint
+        if metadata:
+            want["metadata"] = metadata
+        assert path.read_text() == json.dumps(want, indent=1) + "\n"
+
+        prob = TransportProblem(QuasiMetricSpace(d), [0.1, 0.0, 0.9],
+                                [1 / 3, 1 / 3, 1 / 3], 2.5)
+        save_problem(str(path), prob)
+        want = {"n": 3, "dist": d.tolist(), "mu": prob.mu.tolist(),
+                "nu": prob.nu.tolist(), "p": 2.5}
+        assert path.read_text() == json.dumps(want, indent=1) + "\n"
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(
+            st.text() | st.integers() | st.floats(), inner),
+        max_leaves=30))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=1)
 
     def test_plan_triplets(self):
         plan = np.array([[0.5, 0.0], [0.0, 0.5]])

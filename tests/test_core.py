@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_quasi_metric
-from oracles import row_scan_triangle_violations
+from oracles import csgraph_chains, least_tight_hops, row_scan_triangle_violations
 from qmspace import (
     BallSpec,
     FunkBall,
     MeasuredSpace,
     QuasiMetricSpace,
+    SampleSpec,
     SpaceError,
     ThetaBound,
     ball,
@@ -19,13 +20,18 @@ from qmspace import (
     covering_number,
     diameter,
     doubling_constant,
+    gaussian_line,
     induced_length_metric,
     midpoint_defect,
     path_length,
     reversibility,
+    sample,
     symmetrize,
     validate,
 )
+from qmspace import core
+from qmspace.core import dijkstra
+from qmspace.transport import default_hop_radius
 
 
 def line_space(xs):
@@ -223,6 +229,162 @@ class TestInducedLengthMetric:
         space = line_space([0.0, 1.0, 10.0])
         with pytest.raises(SpaceError, match="not strongly connected"):
             induced_length_metric(space, neighbor_radius=2.0)
+
+
+#: entries of the "flat" hop problems: hops of 1e-17 are below half an
+#: ulp of 1, so chains through them can tie with their first hop
+FLAT_ENTRIES = [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 2.0,
+                1e-17, 3e-17]
+
+
+@st.composite
+def hop_problems(draw):
+    """A grid, a Gaussian line, a Funk sample or a matrix with hops below
+    half an ulp of the chain lengths; a hop radius, sources and a limit."""
+    kind = draw(st.sampled_from(["grid", "line", "funk", "flat"]))
+    if kind == "flat":
+        n = draw(st.integers(2, 7))
+        d = np.array(draw(st.lists(st.sampled_from(FLAT_ENTRIES),
+                                   min_size=n * n, max_size=n * n))).reshape(n, n)
+        np.fill_diagonal(d, 0.0)
+        space = QuasiMetricSpace(d)
+    elif kind == "grid":
+        pitch = draw(st.floats(0.01, 2.0))
+        xs = pitch * np.arange(draw(st.integers(1, 14)))
+        ys = draw(st.floats(0.5, 2.0)) * pitch * np.arange(draw(st.integers(1, 14)))
+        pts = np.array([(x, y) for x in xs for y in ys])
+        space = QuasiMetricSpace(
+            np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
+    elif kind == "line":
+        space = gaussian_line(1.0, draw(st.floats(0.1, 3.0)),
+                              draw(st.floats(0.02, 0.5))).space
+    else:
+        strategy = draw(st.sampled_from(["grid", "radial-shells",
+                                         "seeded-uniform"]))
+        if strategy == "grid":
+            spec = SampleSpec(pitch=draw(st.floats(0.12, 0.4)))
+        else:
+            spec = SampleSpec(strategy=strategy, count=draw(st.integers(2, 90)),
+                              seed=draw(st.integers(0, 999)),
+                              clip_radius=draw(st.floats(0.3, 1.5)))
+        space = sample(FunkBall(2), spec).space
+    n = space.n
+    radius = (2.0 * space.dist.max() if n == 1 else
+              draw(st.floats(1.0, 3.0)) * default_hop_radius(space))
+    sources = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, n - 1), min_size=1, max_size=8)))
+    limit = draw(st.one_of(st.just(np.inf), st.floats(0.0, 1.5).map(
+        lambda f: f * space.dist.max())))
+    return space.dist, radius, sources, limit
+
+
+def assert_predecessor_tree(d, radius, dist, pred, sources):
+    """Every point's predecessor is a tight hop into it, and following them
+    reaches the source."""
+    for a, source in enumerate(sources):
+        for j in np.flatnonzero((dist[a] > 0) & (dist[a] < np.inf)):
+            k = pred[a, j]
+            assert 0 < d[k, j] < radius and k != j
+            assert dist[a, k] + d[k, j] == dist[a, j]
+            path = [j]
+            while path[-1] != source:
+                assert len(path) <= len(d), (a, j, path)
+                path.append(pred[a, path[-1]])
+
+
+class TestDijkstra:
+    """``core.dijkstra`` against scipy's Dijkstra (``oracles.csgraph_chains``)
+    and the predecessor rule (``oracles.least_tight_hops``)."""
+
+    @given(hop_problems())
+    @settings(max_examples=160, deadline=None)
+    def test_matches_csgraph(self, problem):
+        d, radius, sources, limit = problem
+        dist, pred = dijkstra(d, radius, sources, limit, return_predecessors=True)
+        want, want_pred = csgraph_chains(d, radius, sources, limit)
+        assert dijkstra(d, radius, sources, limit).tobytes() == dist.tobytes()
+        assert dist.tobytes() == want.tobytes()
+        rows = np.arange(d.shape[0]) if sources is None else sources
+        lowest, count = least_tight_hops(d, radius, dist, rows)
+        strict = count > 0
+        np.testing.assert_array_equal(pred[strict], lowest[strict])
+        unique = count == 1
+        np.testing.assert_array_equal(pred[unique], want_pred[unique])
+        reached = (dist > 0) & (dist < np.inf)
+        assert ((pred == -1) == ~reached).all()
+        assert_predecessor_tree(d, radius, dist, pred, rows)
+
+    def test_hops_below_half_an_ulp_keep_a_tree(self):
+        # from S, B is at 1 and C and E at 1 + 1e-17 = 1: each of C and E
+        # has tight hops from the other and from B, all at distance 1.
+        # "Least distance, then lowest index" alone would make C and E
+        # each other's predecessor, and the chains from S would not end
+        E, C, B, S = 0, 1, 2, 3
+        d = np.ones((4, 4))
+        np.fill_diagonal(d, 0.0)
+        d[S, C] = d[S, E] = np.nextafter(1.0, 2.0)
+        for a, b in itertools.permutations([B, C, E], 2):
+            d[a, b] = 1e-17
+        space = QuasiMetricSpace(d)
+        assert validate(space).valid
+        radius = default_hop_radius(space)
+        dist, pred = dijkstra(d, radius, return_predecessors=True)
+        want, want_pred = csgraph_chains(d, radius)
+        assert dist.tobytes() == want.tobytes()
+        assert dist[S].tolist() == [1.0, 1.0, 1.0, 0.0]
+        np.testing.assert_array_equal(pred, np.where(want_pred < 0, -1, want_pred))
+        assert pred[S].tolist() == [B, B, S, -1]
+        assert_predecessor_tree(d, radius, dist, pred, range(4))
+
+    def test_per_source_limits(self):
+        space = sample(FunkBall(2), SampleSpec(strategy="radial-shells",
+                                               count=60, seed=3)).space
+        d, radius = space.dist, default_hop_radius(space)
+        limits = [0.0, 0.3, np.inf, 1.0]
+        dist = dijkstra(d, radius, [5, 0, 17, 5], limits)
+        for row, source, limit in zip(dist, [5, 0, 17, 5], limits):
+            want, _ = csgraph_chains(d, radius, [source], limit)
+            assert row.tobytes() == want[0].tobytes()
+
+    def test_equal_length_chains_take_the_lowest_index(self):
+        # a unit square: 0 -> 3 through 1 or through 2, both of length 2
+        d = np.array([[0.0, 1.0, 1.0, 1.5], [1.0, 0.0, 1.5, 1.0],
+                      [1.0, 1.5, 0.0, 1.0], [1.5, 1.0, 1.0, 0.0]])
+        dist, pred = dijkstra(d, 1.2, [0], return_predecessors=True)
+        assert dist.tolist() == [[0.0, 1.0, 1.0, 2.0]]
+        assert pred.tolist() == [[-1, 0, 0, 1]]
+
+    def test_funk_grid_ties(self):
+        # the 57-point Funk grid has exact ties: some points have two
+        # tight in-hops at the same distance, where the rule decides
+        space = sample(FunkBall(2), SampleSpec(strategy="grid", pitch=0.15)).space
+        d, radius = space.dist, default_hop_radius(space)
+        dist, pred = dijkstra(d, radius, return_predecessors=True)
+        want, want_pred = csgraph_chains(d, radius)
+        assert dist.tobytes() == want.tobytes()
+        lowest, count = least_tight_hops(d, radius, dist, np.arange(space.n))
+        assert (count > 1).sum() > 0
+        np.testing.assert_array_equal(pred, lowest)
+
+    def test_small_blocks_give_the_same_chains(self, monkeypatch):
+        space = sample(FunkBall(2), SampleSpec(strategy="seeded-uniform",
+                                               count=80, seed=5)).space
+        d, radius = space.dist, 2.0 * default_hop_radius(space)
+        args = d, radius, [3, 1, 4, 1, 5], [0.5, np.inf, 1.0, 2.0, 0.0], True
+        want = dijkstra(*args)
+        monkeypatch.setattr(core, "_HOP_BLOCK", 3)
+        got = dijkstra(*args)
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_nonpositive_entries_are_not_hops(self):
+        d = np.array([[0.0, 0.0, 2.0], [-1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        dist, pred = dijkstra(d, 1.5, return_predecessors=True)
+        assert dist.tolist() == [[0.0, np.inf, np.inf],
+                                 [np.inf, 0.0, 1.0], [np.inf, 1.0, 0.0]]
+        assert pred.tolist() == [[-1, -1, -1], [-1, -1, 1], [-1, 2, -1]]
+        # all pairs without predecessors take scipy's path: the same hops
+        assert dijkstra(d, 1.5).tobytes() == dist.tobytes()
 
 
 def test_midpoint_defect_on_grid():

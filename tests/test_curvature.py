@@ -28,6 +28,7 @@ from qmspace import (
     un_nonlinearity,
     wasserstein,
 )
+from qmspace.curvature import _model_volume
 
 INF = math.inf
 
@@ -333,6 +334,43 @@ class TestBishopGromov:
         for r, val in zip(radii, rep.details["profile"]):
             mass = ms.weights[d <= r].sum()
             assert val == pytest.approx(mass / volume(r), rel=1e-9)
+
+    @pytest.mark.parametrize("N", [1.05, 1.5, 2.0, 2.5, 4.0, 7.0])
+    @pytest.mark.parametrize("K", [-2.0, -0.5, 0.5, 2.0])
+    def test_model_volume_matches_quad(self, K, N):
+        from scipy.integrate import quad
+
+        top = math.pi * math.sqrt((N - 1) / K) if K > 0 else 2.5
+        for r in np.linspace(0.0, top, 6)[1:]:
+            want, err = quad(lambda s: s_kn(K, N, s) ** (N - 1), 0.0, r,
+                             epsabs=1e-12, epsrel=1e-12)
+            assert err < 1e-10 * max(1.0, want)
+            assert _model_volume(K, N, r) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("N", [1.001, 1.01, 1.05, 1.5, 3.0, 7.0])
+    @pytest.mark.parametrize("K", [0.5, 2.0])
+    def test_model_volume_up_to_the_cutoff(self, K, N):
+        # to the cutoff pi / c the integral is a Beta function:
+        # c^-N integral_0^pi sin^(N-1) = c^-N sqrt(pi) G(N/2) / G((N+1)/2)
+        c = math.sqrt(K / (N - 1))
+        whole = (c ** -N * math.sqrt(math.pi) * math.gamma(N / 2)
+                 / math.gamma((N + 1) / 2))
+        assert _model_volume(K, N, math.pi / c) == pytest.approx(whole, rel=1e-13)
+        # and the integrand mirrors itself about pi / (2c)
+        half = _model_volume(K, N, math.pi / (2 * c))
+        assert half == pytest.approx(whole / 2, rel=1e-13)
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_negative_radius_raises(self, K):
+        ms = euclidean_grid_2d(0.25)
+        with pytest.raises(SpaceError, match="nonnegative"):
+            bishop_gromov_profile(ms, 0, K, 3.0, [-0.1, 0.3])
+
+    def test_model_volume_raises_when_orders_disagree(self):
+        # N = 20, K = -10: the integral is about 4e13, so the two orders
+        # cannot agree to an absolute 1e-8
+        with pytest.raises(SpaceError, match="did not converge"):
+            _model_volume(-10.0, 20.0, 3.0)
 
     def test_radii_must_increase(self):
         ms = euclidean_grid_2d(0.25)

@@ -364,6 +364,18 @@ class TestDynamicalPlan:
                            match="within tolerance: best 3.10583 vs direct 2"):
             dynamical_plan(space, coupling)
 
+    def test_predecessor_cycle_raises(self, monkeypatch):
+        # the walk back from j stops after n steps instead of looping
+        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        space = QuasiMetricSpace(d)
+        mu = np.array([1.0, 0.0, 0.0])
+        nu = np.array([0.0, 1.0, 0.0])
+        coupling = Coupling(np.outer(mu, nu), mu, nu)
+        monkeypatch.setattr(transport, "dijkstra", lambda *args, **kwargs: (
+            np.array([[0.0, 1.0, 1.0]]), np.array([[-1, 2, 1]])))
+        with pytest.raises(SpaceError, match="chain from 0 to 1 does not end"):
+            dynamical_plan(space, coupling)
+
     def test_default_hop_radius(self):
         ms = euclidean_grid_1d(0.2)
         assert default_hop_radius(ms.space) == pytest.approx(0.3)
