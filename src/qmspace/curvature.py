@@ -60,7 +60,7 @@ INF = math.inf
 #: grid tolerance of dcn_membership
 DCN_TOL = 1e-12
 #: Gauss-Legendre orders of the curved model volume, and how far apart
-#: their two values may be
+#: their two values may be, relative to max(1, volume)
 VOLUME_ORDERS = (64, 128)
 VOLUME_TOL = 1e-8
 
@@ -420,7 +420,8 @@ def _model_volume(K: float, N: float, r: float) -> float:
     integrals from 0.  Each takes Gauss-Legendre nodes after s = x t^q:
     the integrand then goes as t^(qN - 1), and q = ceil(4 / N) makes that
     smooth enough for any N > 1.  The two orders of VOLUME_ORDERS must
-    agree to VOLUME_TOL, or SpaceError is raised.
+    agree to VOLUME_TOL times max(1, volume) and be finite, or SpaceError
+    is raised.
     """
     from numpy.polynomial.legendre import leggauss  # 3 ms: only when needed
 
@@ -437,12 +438,15 @@ def _model_volume(K: float, N: float, r: float) -> float:
         t = (x + 1.0) / 2.0
         total = 0.0
         for sign, top in parts:
-            f = (sk(c * top * t ** q) / c) ** (N - 1) * q * t ** (q - 1)
-            total += sign * top / 2.0 * float(w @ f)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                f = (sk(c * top * t ** q) / c) ** (N - 1) * q * t ** (q - 1)
+                total += sign * top / 2.0 * float(w @ f)
         values.append(total)
-    if not abs(values[1] - values[0]) <= VOLUME_TOL:  # NaN too
+    low, high = values
+    # NaN fails the first comparison, and an overflow to inf the second
+    if not abs(high - low) <= VOLUME_TOL * max(1.0, abs(high)) < INF:
         raise SpaceError("model volume quadrature did not converge")
-    return values[1]
+    return high
 
 
 def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,

@@ -9,7 +9,12 @@ problems also expose the Kantorovich-Rubinstein dual over asymmetric
 Every LP goes through ``linprog``, which hands the model to the HiGHS
 bindings that scipy ships, with the options that
 ``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
-pivots and returns the same plan, duals and value as that call.  The
+pivots and returns the same plan, duals and value as that call with
+presolve on.  ``_solve_lp`` turns presolve off on the transport LPs that
+it does not expect presolve to reduce (every mass above HiGHS's
+feasibility tolerance, at least three rows and columns).  On every such
+LP measured (HiGHS 1.12), presolve left the LP unreduced and the pivots
+and bits were the same with presolve on or off.  The
 constraint matrix is built with numpy, and the bindings' extension module
 is loaded from its file in scipy's ``optimize/_highspy`` directory, so a
 solve imports neither ``scipy.optimize`` nor ``scipy.sparse``.
@@ -53,6 +58,9 @@ __all__ = [
 
 MARGINAL_TOL = 1e-9
 MASS_TOL = 1e-12
+#: HiGHS's primal_feasibility_tolerance: presolve turns the row of a
+#: mass at or below it into a forcing row
+PRESOLVE_MASS = 1e-7
 DUALITY_TOL = 1e-7
 CHAIN_TOL = 0.5
 #: slack allowed in asymmetry_bound_check
@@ -158,14 +166,36 @@ class _CSC(NamedTuple):
         return self
 
 
-def linprog(c, *, A_eq, b_eq):
+def _highs_model(c, a, b_eq, presolve: bool):
+    """A HiGHS instance holding min c @ x, a @ x = b_eq, x >= 0 (a in
+    column-compressed form), with the options ``linprog`` sets."""
+    highspy = _highs()
+    m, n = a.shape
+    highs = highspy._Highs()
+    highs.setOptionValue("presolve", "on" if presolve else "off")
+    highs.setOptionValue("simplex_strategy", int(
+        highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("log_to_console", False)
+    # the last array is the integrality of each column: all continuous
+    highs.passModel(n, m, a.nnz, int(highspy.MatrixFormat.kColwise),
+                    int(highspy.ObjSense.kMinimize), 0.0, c, np.zeros(n),
+                    np.full(n, highspy.kHighsInf), b_eq, b_eq, a.indptr,
+                    a.indices, a.data, np.zeros(n, dtype=np.int32))
+    return highs
+
+
+def linprog(c, *, A_eq, b_eq, presolve=True):
     """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
 
     Sets what ``scipy.optimize.linprog(method="highs")`` sets (presolve
     on, dual simplex, no output) and leaves every other option at its
     default, so the pivots, x, row duals (``eqlin.marginals``), objective
-    and ``nit`` are those of that call.  It skips scipy's loop over
-    every column that builds bound duals, which no caller reads.
+    and ``nit`` are those of that call.  ``presolve=False`` turns presolve
+    off, as scipy's ``options={"presolve": False}`` does; on an LP that
+    presolve leaves unreduced the answer is bitwise the same either way.
+    It skips scipy's loop over every column that builds bound duals,
+    which no caller reads.
 
     A_eq is anything whose ``tocsc()`` has ``indptr``, ``indices``,
     ``data``, ``shape`` and ``nnz``: a scipy sparse matrix, or the arrays
@@ -186,17 +216,7 @@ def linprog(c, *, A_eq, b_eq):
     if not np.isfinite(c).all():
         return SimpleNamespace(success=False, message="non-finite cost", nit=0)
 
-    highs = highspy._Highs()
-    highs.setOptionValue("presolve", "on")
-    highs.setOptionValue("simplex_strategy", int(
-        highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("log_to_console", False)
-    # the last array is the integrality of each column: all continuous
-    highs.passModel(n, m, a.nnz, int(highspy.MatrixFormat.kColwise),
-                    int(highspy.ObjSense.kMinimize), 0.0, c, np.zeros(n),
-                    np.full(n, highspy.kHighsInf), b_eq, b_eq, a.indptr,
-                    a.indices, a.data, np.zeros(n, dtype=np.int32))
+    highs = _highs_model(c, a, b_eq, presolve)
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()
     res = SimpleNamespace(success=status == highspy.HighsModelStatus.kOptimal,
@@ -215,6 +235,17 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
     psi is the c-transform of the row duals u over every column,
     psi[j] = min over rows with mass of cost[i, j] - u[i].
+
+    HiGHS presolves only an LP that presolve is known to reduce: one
+    with a mass at or below PRESOLVE_MASS (a forcing row) or with at
+    most two rows or columns (singleton and doubleton rows).  That every
+    other LP comes out of presolve unreduced is measured, not proven: on
+    every LP tested (``TestPresolveRule`` and every seed-0 LP of the
+    perfbench workloads, HiGHS 1.12), presolve left it unreduced and
+    skipping it gave bitwise the same answer.  Two tests guard this
+    across HiGHS upgrades, ``test_threshold_is_highs_feasibility_tolerance``
+    and ``test_skipping_presolve_changes_nothing``; the certificate below
+    checks the answer either way.
     """
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]
@@ -232,7 +263,9 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     indices = rows.reshape(nr, 2 * nc)[:, :-1].ravel()
     eq = _CSC(2 * k - k // nc, indices, np.ones(len(indices)),
               (nr + nc - 1, nr * nc))
-    res = linprog(c.ravel(), A_eq=eq, b_eq=np.concatenate([a, b[:-1]]))
+    presolve = bool(min(nr, nc) <= 2 or min(a.min(), b.min()) <= PRESOLVE_MASS)
+    res = linprog(c.ravel(), A_eq=eq, b_eq=np.concatenate([a, b[:-1]]),
+                  presolve=presolve)
     if not res.success:
         raise SpaceError(f"transport LP failed: {res.message}")
     plan_small = res.x.reshape(nr, nc)

@@ -28,6 +28,7 @@ from qmspace import (
     un_nonlinearity,
     wasserstein,
 )
+from qmspace import curvature
 from qmspace.curvature import _model_volume
 
 INF = math.inf
@@ -366,11 +367,30 @@ class TestBishopGromov:
         with pytest.raises(SpaceError, match="nonnegative"):
             bishop_gromov_profile(ms, 0, K, 3.0, [-0.1, 0.3])
 
-    def test_model_volume_raises_when_orders_disagree(self):
-        # N = 20, K = -10: the integral is about 4e13, so the two orders
-        # cannot agree to an absolute 1e-8
+    def test_model_volume_raises_when_orders_disagree(self, monkeypatch):
+        # N = 20, K = -10: the integral is about 4e13; orders 4 and 8 miss
+        # it by far more than 1e-8 relative
+        monkeypatch.setattr(curvature, "VOLUME_ORDERS", (4, 8))
         with pytest.raises(SpaceError, match="did not converge"):
             _model_volume(-10.0, 20.0, 3.0)
+
+    def test_model_volume_raises_on_overflow(self):
+        # sinh(r / 20)^399 overflows: inf must not pass as a volume
+        with pytest.raises(SpaceError, match="did not converge"):
+            _model_volume(-1.0, 400.0, 100.0)
+
+    @pytest.mark.parametrize("N", [1.001, 1.05, 1.5, 3.0, 7.0, 12.0])
+    @pytest.mark.parametrize("K", [-2.0, -0.5, 0.5, 2.0])
+    def test_large_model_volumes_converge(self, K, N):
+        # volumes up to 2.9e20 (K = -2, N = 12, r = 10) and 8.4e7 (K = 0.5,
+        # N = 12, at the cutoff): the orders agree relative to the volume
+        from scipy.integrate import quad
+
+        top = math.pi * math.sqrt((N - 1) / K) if K > 0 else 10.0
+        for r in np.linspace(0.0, top, 9)[1:]:
+            want = quad(lambda s: s_kn(K, N, s) ** (N - 1), 0.0, r,
+                        epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            assert _model_volume(K, N, r) == pytest.approx(want, rel=1e-8)
 
     def test_radii_must_increase(self):
         ms = euclidean_grid_2d(0.25)

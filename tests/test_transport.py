@@ -2,8 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import euclidean_grid_1d, random_quasi_metric, smooth_density_pair
+from conftest import (
+    euclidean_grid_1d,
+    euclidean_grid_2d,
+    random_quasi_metric,
+    smooth_density_pair,
+)
 from qmspace import (
     Coupling,
     Interpolation,
@@ -135,33 +142,42 @@ class TestHighsBindings:
     """transport.linprog takes the pivots of scipy's linprog(method="highs")."""
 
     @staticmethod
-    def _captured_lp(monkeypatch, cost, mu, nu):
-        """The (c, A_eq, b_eq) that _solve_lp hands to linprog, and its plan."""
+    def _captured_lp(monkeypatch, cost, mu, nu, allow_failure=False):
+        """The (c, A_eq, b_eq, presolve) that _solve_lp hands to linprog,
+        and its plan; with allow_failure, a SpaceError from _solve_lp
+        gives plan None instead of failing the test."""
         seen = []
         ours = transport.linprog
 
-        def record(c, *, A_eq, b_eq):
-            seen.append((c, A_eq, b_eq))
-            return ours(c, A_eq=A_eq, b_eq=b_eq)
+        def record(c, *, A_eq, b_eq, presolve=True):
+            seen.append((c, A_eq, b_eq, presolve))
+            return ours(c, A_eq=A_eq, b_eq=b_eq, presolve=presolve)
 
         monkeypatch.setattr(transport, "linprog", record)
-        _, plan, _ = transport._solve_lp(cost, mu, nu)
+        try:
+            _, plan, _ = transport._solve_lp(cost, mu, nu)
+        except SpaceError:
+            if not allow_failure:
+                raise
+            plan = None
         (lp,) = seen
         return lp, plan
 
     @classmethod
     def _lps(cls, monkeypatch, cost, mu, nu):
-        """The LP _solve_lp builds, transport.linprog's answer and scipy's."""
+        """The LP _solve_lp builds, transport.linprog's answer and scipy's
+        with the same presolve setting."""
         from scipy.optimize import linprog as scipy_linprog
         from scipy.sparse import csc_array
         ours = transport.linprog
-        (c, a_eq, b_eq), plan = cls._captured_lp(monkeypatch, cost, mu, nu)
+        (c, a_eq, b_eq, presolve), plan = cls._captured_lp(monkeypatch, cost,
+                                                           mu, nu)
         # scipy's linprog reads only its own sparse types
         a_scipy = csc_array((a_eq.data, a_eq.indices, a_eq.indptr),
                             shape=a_eq.shape)
         want = scipy_linprog(c, A_eq=a_scipy, b_eq=b_eq, bounds=(0, None),
-                             method="highs")
-        return ours(c, A_eq=a_eq, b_eq=b_eq), want, plan
+                             method="highs", options={"presolve": presolve})
+        return ours(c, A_eq=a_eq, b_eq=b_eq, presolve=presolve), want, plan
 
     @staticmethod
     def _assert_same(got, want):
@@ -221,7 +237,7 @@ class TestHighsBindings:
         mu, nu = np.zeros(n), np.zeros(n)
         mu[rng.choice(n, nr, replace=False)] = rng.random(nr) + 0.1
         nu[rng.choice(n, nc, replace=False)] = rng.random(nc) + 0.1
-        (_, got, _), _ = self._captured_lp(
+        (_, got, _, _), _ = self._captured_lp(
             monkeypatch, random_quasi_metric(rng, n).dist,
             mu / mu.sum(), nu / nu.sum())
         want = transport_constraints(nr, nc)
@@ -241,6 +257,104 @@ class TestHighsBindings:
         res = transport.linprog(np.ones(4), A_eq=a_eq, b_eq=[0.5, 0.5, 1.5])
         assert not res.success
         assert res.message == "Infeasible"
+
+
+def _presolve_status(c, a_eq, b_eq):
+    """What HiGHS's presolve makes of the LP that linprog would solve."""
+    highs = transport._highs_model(c, a_eq, b_eq, presolve=True)
+    highs.presolve()
+    return highs.getModelPresolveStatus()
+
+
+@st.composite
+def transport_inputs(draw):
+    """(cost, mu, nu) over closed quasi-metrics and grids with tied costs,
+    costs scaled by 1e-6 to 1e6, p = 1, 2, 3, and marginals that are
+    dense, have zero masses, or have masses just above or below HiGHS's
+    feasibility tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["closed", "grid", "line"]))
+    if family == "closed":
+        d = random_quasi_metric(rng, draw(st.integers(3, 40))).dist
+    elif family == "grid":
+        d = euclidean_grid_2d(draw(st.sampled_from([0.5, 0.25, 0.2]))).space.dist
+    else:
+        d = euclidean_grid_1d(draw(st.sampled_from([0.5, 0.1, 0.05]))).space.dist
+    n = len(d)
+    cost = 10.0 ** draw(st.integers(-6, 6)) * d ** draw(st.sampled_from([1, 2, 3]))
+    marginals = []
+    for _ in range(2):
+        m = rng.random(n)
+        shape = draw(st.sampled_from(["dense", "zeros", "above", "below"]))
+        if shape == "zeros":
+            m[rng.random(n) < 0.5] = 0.0
+        small = np.zeros(n, dtype=bool)
+        if shape in ("above", "below"):
+            small = rng.random(n) < 0.3
+        big = rng.integers(n)  # neither small nor zero, so m can sum to 1
+        m[big], small[big] = 0.5 + m[big], False
+        tol = transport.PRESOLVE_MASS
+        if shape == "above":  # the least float above the tolerance, and up
+            m[small] = np.nextafter(tol, 1.0) * rng.uniform(1.0, 1.5, small.sum())
+            m[np.flatnonzero(small)[:1]] = np.nextafter(tol, 1.0)
+        elif shape == "below":
+            m[small] = tol * 10.0 ** rng.uniform(-5.0, 0.0, small.sum())
+        m[~small] *= (1.0 - m[small].sum()) / m[~small].sum()
+        marginals.append(m)
+    return cost, marginals[0], marginals[1]
+
+
+class TestPresolveRule:
+    """_solve_lp runs presolve only on LPs that presolve can reduce."""
+
+    def test_threshold_is_highs_feasibility_tolerance(self):
+        _, tol = transport._highs()._Highs().getOptionValue(
+            "primal_feasibility_tolerance")
+        assert transport.PRESOLVE_MASS == tol
+
+    @given(transport_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_skipping_presolve_changes_nothing(self, inputs):
+        with pytest.MonkeyPatch.context() as mp:
+            # the skewed inputs may fail _solve_lp's certificate; only the
+            # LP it hands to linprog matters here
+            (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
+                mp, *inputs, allow_failure=True)
+        if presolve:
+            return
+        assert _presolve_status(c, a_eq, b_eq) == \
+            transport._highs().HighsPresolveStatus.kNotReduced
+        on, off = (transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=flag)
+                   for flag in (True, False))
+        assert (on.success, on.message, on.nit) == \
+            (off.success, off.message, off.nit)
+        if on.success:
+            assert np.array_equal(on.x, off.x)
+            assert np.array_equal(on.eqlin.marginals, off.eqlin.marginals)
+            assert on.fun == off.fun
+
+    @pytest.mark.parametrize("nr, nc, least", [
+        (10, 10, 0.99e-7),  # a forcing row
+        (10, 10, 1e-7),
+        (2, 10, None),      # doubleton column constraints
+        (10, 2, None),      # doubleton row constraints
+        (1, 10, None),
+        (10, 1, None),
+    ])
+    def test_presolve_runs_where_it_reduces(self, monkeypatch, rng, nr, nc, least):
+        n = 12
+        mu, nu = np.zeros(n), np.zeros(n)
+        mu[:nr] = rng.random(nr) + 0.1
+        nu[n - nc:] = rng.random(nc) + 0.1
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        if least is not None:
+            mu[1:nr] *= (1.0 - least) / mu[1:nr].sum()
+            mu[0] = least
+        (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
+            monkeypatch, random_quasi_metric(rng, n).dist, mu, nu)
+        assert presolve
+        assert _presolve_status(c, a_eq, b_eq) != \
+            transport._highs().HighsPresolveStatus.kNotReduced
 
 
 def test_kr_dual_matches_primal(rng):
