@@ -10,11 +10,13 @@ Every LP goes through ``linprog``, which hands the model to the HiGHS
 bindings that scipy ships, with the options that
 ``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
 pivots and returns the same plan, duals and value as that call with
-presolve on.  ``_solve_lp`` turns presolve off on the transport LPs that
-it does not expect presolve to reduce (every mass above HiGHS's
-feasibility tolerance, at least three rows and columns).  On every such
-LP measured (HiGHS 1.12), presolve left the LP unreduced and the pivots
-and bits were the same with presolve on or off.  The
+presolve on.  ``_solve_lp`` runs HiGHS presolve only on transport LPs
+with at most two rows or columns.  On the others, the one reduction
+presolve makes is the forcing row of a mass at or below HiGHS's
+feasibility tolerance, and numpy does it: ``_transport_lp`` solves the
+LP without those rows, completes the basis as HiGHS's postsolve does,
+and hands it to the full LP, so the answer is bitwise that of the
+presolve path (HiGHS 1.12, every LP measured).  The
 constraint matrix is built with numpy, and the bindings' extension module
 is loaded from its file in scipy's ``optimize/_highspy`` directory, so a
 solve imports neither ``scipy.optimize`` nor ``scipy.sparse``.
@@ -139,9 +141,14 @@ def _highs():
     if module is None:
         scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
         base = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
-        path = next(base + suffix
-                    for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                    if os.path.exists(base + suffix))
+        path = next((base + suffix
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                     if os.path.exists(base + suffix)), None)
+        if path is None:
+            raise ImportError(
+                f"scipy's HiGHS extension {base}.* was not found; qmspace "
+                "needs the file layout of scipy >= 1.17, which ships it in "
+                "scipy/optimize/_highspy")
         spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[HIGHS_MODULE] = module
@@ -185,7 +192,7 @@ def _highs_model(c, a, b_eq, presolve: bool):
     return highs
 
 
-def linprog(c, *, A_eq, b_eq, presolve=True):
+def linprog(c, *, A_eq, b_eq, presolve=True, basis=None):
     """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
 
     Sets what ``scipy.optimize.linprog(method="highs")`` sets (presolve
@@ -199,12 +206,16 @@ def linprog(c, *, A_eq, b_eq, presolve=True):
 
     A_eq is anything whose ``tocsc()`` has ``indptr``, ``indices``,
     ``data``, ``shape`` and ``nnz``: a scipy sparse matrix, or the arrays
-    ``_solve_lp`` builds.  Only HiGHS's extension module is loaded
+    ``_transport_csc`` builds.  Only HiGHS's extension module is loaded
     (``_highs``), not ``scipy.optimize``.
 
     ``success`` is True when HiGHS finds the model optimal; otherwise
     ``message`` is HiGHS's model status.  A non-finite cost fails before
-    HiGHS runs, because HiGHS calls such a model optimal.
+    HiGHS runs, because HiGHS calls such a model optimal.  An optimal
+    result also has ``basis``, the (column, row) statuses of the optimal
+    basis as int8 arrays of HiGHS's codes: 0 at the lower bound, 1 basic,
+    2 at the upper bound.  ``basis`` in that form starts the simplex
+    from it instead of from HiGHS's crash basis.
     """
     highspy = _highs()
     a = A_eq.tocsc()
@@ -217,6 +228,13 @@ def linprog(c, *, A_eq, b_eq, presolve=True):
         return SimpleNamespace(success=False, message="non-finite cost", nit=0)
 
     highs = _highs_model(c, a, b_eq, presolve)
+    if basis is not None:
+        codes = highspy.HighsBasisStatus
+        lookup = [codes.kLower, codes.kBasic, codes.kUpper]
+        start = highspy.HighsBasis()
+        start.col_status = [lookup[k] for k in basis[0].tolist()]
+        start.row_status = [lookup[k] for k in basis[1].tolist()]
+        highs.setBasis(start)
     highs.run()
     status, info = highs.getModelStatus(), highs.getInfo()
     res = SimpleNamespace(success=status == highspy.HighsModelStatus.kOptimal,
@@ -227,7 +245,108 @@ def linprog(c, *, A_eq, b_eq, presolve=True):
         res.x = np.array(sol.col_value)
         res.fun = info.objective_function_value
         res.eqlin = SimpleNamespace(marginals=np.array(sol.row_dual))
+        # every column has bounds [0, inf), so a nonbasic one is at 0;
+        # reading col_status instead would convert n enums one by one
+        _, basic = highs.getBasicVariables()
+        cols = np.zeros(n, dtype=np.int8)
+        cols[basic[basic >= 0]] = 1
+        rows = np.array([int(k) for k in highs.getBasis().row_status],
+                        dtype=np.int8)
+        res.basis = (cols, rows)
     return res
+
+
+def _transport_csc(nr: int, nc: int) -> _CSC:
+    """The equality constraints of the nr x nc transportation LP: row
+    sums, then column sums but the last, which is redundant.
+
+    Column k = i * nc + j has a 1 in row i and, for j < nc - 1, in row
+    nr + j, so k // nc columns with one entry come before column k.
+    """
+    k = np.arange(nr * nc + 1, dtype=np.int32)
+    rows = np.empty((nr, nc, 2), dtype=np.int32)
+    rows[..., 0] = np.arange(nr)[:, None]
+    rows[..., 1] = nr + np.arange(nc)
+    indices = rows.reshape(nr, 2 * nc)[:, :-1].ravel()
+    return _CSC(2 * k - k // nc, indices, np.ones(len(indices)),
+                (nr + nc - 1, nr * nc))
+
+
+def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``linprog``'s result for min <c, x> over x >= 0 with row sums a and
+    column sums b (all positive), built with ``_transport_csc``.
+
+    A mass at or below PRESOLVE_MASS makes its constraint a forcing row:
+    HiGHS presolve would fix every column of that row at 0 and drop it,
+    solve the rest, and rebuild the basis of the full LP in postsolve.
+    That is done here instead, because presolve spends far longer
+    finding those rows than numpy takes.  The LP without the forcing rows
+    and their columns (HiGHS's ``getPresolvedLp()``, in the same order)
+    is solved with presolve off, and its basis is completed as HiGHS's
+    forcing-row postsolve completes it.  Each forcing row takes the
+    reduced costs of its columns in kept rows and columns without its
+    own dual: c - v for a mu row, c - u for a nu row.  (A column in two
+    forcing rows has a reduced cost of at least its cost, which is not
+    negative, so it never enters.)  If the least is negative, the first
+    column that attains it becomes basic and the row's logical leaves
+    the basis at its bound; otherwise the logical is basic.  Every other
+    dropped column is nonbasic at 0.  The full LP, presolve off, starts
+    from that basis, as HiGHS's own solve after postsolve does: it
+    returns bitwise the x, row duals, objective and model status of the
+    presolve path, with the same total ``nit``.
+
+    nu's last entry has no row, so it never makes a forcing row.  An LP
+    with at most two rows or columns, before or after the reduction,
+    goes through HiGHS presolve (singleton and doubleton rows); on most
+    such LPs tried, presolve on and off differ in the last bits.  Every
+    other LP has no forcing row and is solved with presolve off.
+    """
+    nr, nc = c.shape
+    keep_r = a > PRESOLVE_MASS
+    keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
+    kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+    b_eq = np.concatenate([a, b[:-1]])
+    if min(nr, nc, len(kr), len(kc)) <= 2:
+        return linprog(c.ravel(), A_eq=_transport_csc(nr, nc), b_eq=b_eq)
+    basis = None
+    if len(kr) < nr or len(kc) < nc:
+        res = linprog(c[np.ix_(kr, kc)].ravel(),
+                      A_eq=_transport_csc(len(kr), len(kc)),
+                      b_eq=np.concatenate([a[kr], b[kc[:-1]]]), presolve=False)
+        if not res.success:
+            return res
+        basis = _forcing_basis(c, res, keep_r, keep_c)
+    return linprog(c.ravel(), A_eq=_transport_csc(nr, nc), b_eq=b_eq,
+                   presolve=False, basis=basis)
+
+
+def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
+    """The basis of the full transport LP that HiGHS's forcing-row
+    postsolve builds from ``res``, the optimum without the forcing rows
+    (the rule is in ``_transport_lp``), as (column, row) statuses."""
+    nr, nc = c.shape
+    kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+    fi, fj = np.flatnonzero(~keep_r), np.flatnonzero(~keep_c)
+    u = res.eqlin.marginals[:len(kr)]
+    v = np.append(res.eqlin.marginals[len(kr):], 0.0)
+    cols = np.zeros((nr, nc), dtype=np.int8)
+    cols[np.ix_(kr, kc)] = res.basis[0].reshape(len(kr), len(kc))
+    rows = np.ones(nr + nc - 1, dtype=np.int8)
+    rows[np.concatenate([kr, nr + kc[:-1]])] = res.basis[1]
+
+    def entering(reduced):
+        # per forcing row (a row of reduced): the first least reduced
+        # cost, and whether it is negative
+        best = reduced.argmin(axis=1)
+        return best, reduced[np.arange(len(best)), best] < 0
+
+    best, hit = entering(c[np.ix_(fi, kc)] - v)
+    rows[fi[hit]] = 0
+    cols[fi[hit], kc[best[hit]]] = 1
+    best, hit = entering(c[np.ix_(kr, fj)].T - u)
+    rows[nr + fj[hit]] = 0
+    cols[kr[best[hit]], fj[hit]] = 1
+    return cols.ravel(), rows
 
 
 def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
@@ -236,36 +355,22 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     psi is the c-transform of the row duals u over every column,
     psi[j] = min over rows with mass of cost[i, j] - u[i].
 
-    HiGHS presolves only an LP that presolve is known to reduce: one
-    with a mass at or below PRESOLVE_MASS (a forcing row) or with at
-    most two rows or columns (singleton and doubleton rows).  That every
-    other LP comes out of presolve unreduced is measured, not proven: on
-    every LP tested (``TestPresolveRule`` and every seed-0 LP of the
-    perfbench workloads, HiGHS 1.12), presolve left it unreduced and
-    skipping it gave bitwise the same answer.  Two tests guard this
-    across HiGHS upgrades, ``test_threshold_is_highs_feasibility_tolerance``
-    and ``test_skipping_presolve_changes_nothing``; the certificate below
-    checks the answer either way.
+    Points without mass are dropped, and ``_transport_lp`` solves the
+    rest with the presolve rule given there.  That HiGHS presolve makes
+    no reduction but the forcing rows on an LP with at least three rows
+    and columns is measured, not proven: on every LP tested
+    (``TestPresolveRule`` and every seed-0 LP of the perfbench
+    workloads, HiGHS 1.12), the numpy reduction was HiGHS's presolved LP
+    and gave bitwise the answer of the presolve path.  The tests in
+    ``TestPresolveRule`` guard this across HiGHS upgrades; the
+    certificate below checks the answer either way.
     """
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]
     c = cost[np.ix_(keep_r, keep_c)]
     a, b = mu[keep_r], nu[keep_c]
     nr, nc = len(a), len(b)
-
-    # row sums, then column sums; the last column constraint is redundant.
-    # Column k = i * nc + j has a 1 in row i and, for j < nc - 1, in row
-    # nr + j, so k // nc columns with one entry come before column k.
-    k = np.arange(nr * nc + 1, dtype=np.int32)
-    rows = np.empty((nr, nc, 2), dtype=np.int32)
-    rows[..., 0] = np.arange(nr)[:, None]
-    rows[..., 1] = nr + np.arange(nc)
-    indices = rows.reshape(nr, 2 * nc)[:, :-1].ravel()
-    eq = _CSC(2 * k - k // nc, indices, np.ones(len(indices)),
-              (nr + nc - 1, nr * nc))
-    presolve = bool(min(nr, nc) <= 2 or min(a.min(), b.min()) <= PRESOLVE_MASS)
-    res = linprog(c.ravel(), A_eq=eq, b_eq=np.concatenate([a, b[:-1]]),
-                  presolve=presolve)
+    res = _transport_lp(c, a, b)
     if not res.success:
         raise SpaceError(f"transport LP failed: {res.message}")
     plan_small = res.x.reshape(nr, nc)

@@ -1,4 +1,6 @@
+import importlib.machinery
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -142,16 +144,16 @@ class TestHighsBindings:
     """transport.linprog takes the pivots of scipy's linprog(method="highs")."""
 
     @staticmethod
-    def _captured_lp(monkeypatch, cost, mu, nu, allow_failure=False):
-        """The (c, A_eq, b_eq, presolve) that _solve_lp hands to linprog,
-        and its plan; with allow_failure, a SpaceError from _solve_lp
-        gives plan None instead of failing the test."""
+    def _captured_lps(monkeypatch, cost, mu, nu, allow_failure=False):
+        """The (c, A_eq, b_eq, presolve, basis) of every linprog call of
+        _solve_lp, and its plan; with allow_failure, a SpaceError from
+        _solve_lp gives plan None instead of failing the test."""
         seen = []
         ours = transport.linprog
 
-        def record(c, *, A_eq, b_eq, presolve=True):
-            seen.append((c, A_eq, b_eq, presolve))
-            return ours(c, A_eq=A_eq, b_eq=b_eq, presolve=presolve)
+        def record(c, *, A_eq, b_eq, presolve=True, basis=None):
+            seen.append((c, A_eq, b_eq, presolve, basis))
+            return ours(c, A_eq=A_eq, b_eq=b_eq, presolve=presolve, basis=basis)
 
         monkeypatch.setattr(transport, "linprog", record)
         try:
@@ -160,24 +162,36 @@ class TestHighsBindings:
             if not allow_failure:
                 raise
             plan = None
-        (lp,) = seen
-        return lp, plan
+        return seen, plan
 
     @classmethod
-    def _lps(cls, monkeypatch, cost, mu, nu):
-        """The LP _solve_lp builds, transport.linprog's answer and scipy's
-        with the same presolve setting."""
+    def _captured_lp(cls, monkeypatch, cost, mu, nu, allow_failure=False):
+        """The (c, A_eq, b_eq, presolve) of _solve_lp's one linprog call,
+        made without a basis, and its plan."""
+        seen, plan = cls._captured_lps(monkeypatch, cost, mu, nu, allow_failure)
+        ((*lp, basis),) = seen
+        assert basis is None
+        return tuple(lp), plan
+
+    @staticmethod
+    def _ours_and_scipy(c, a_eq, b_eq, presolve):
+        """transport.linprog's answer and scipy's on one LP."""
         from scipy.optimize import linprog as scipy_linprog
         from scipy.sparse import csc_array
-        ours = transport.linprog
-        (c, a_eq, b_eq, presolve), plan = cls._captured_lp(monkeypatch, cost,
-                                                           mu, nu)
         # scipy's linprog reads only its own sparse types
         a_scipy = csc_array((a_eq.data, a_eq.indices, a_eq.indptr),
                             shape=a_eq.shape)
         want = scipy_linprog(c, A_eq=a_scipy, b_eq=b_eq, bounds=(0, None),
                              method="highs", options={"presolve": presolve})
-        return ours(c, A_eq=a_eq, b_eq=b_eq, presolve=presolve), want, plan
+        return (transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=presolve),
+                want)
+
+    @classmethod
+    def _lps(cls, monkeypatch, cost, mu, nu):
+        """The LP _solve_lp builds, transport.linprog's answer and scipy's
+        with the same presolve setting."""
+        lp, plan = cls._captured_lp(monkeypatch, cost, mu, nu)
+        return *cls._ours_and_scipy(*lp), plan
 
     @staticmethod
     def _assert_same(got, want):
@@ -205,7 +219,8 @@ class TestHighsBindings:
     def test_skewed_masses_through_presolve(self, monkeypatch):
         # masses from 1e-12 to 1e-7 sit below HiGHS's feasibility
         # tolerance, so presolve removes their rows and the postsolved
-        # plan misses the marginals: that drift must come out the same
+        # plan misses the marginals: that drift must come out the same in
+        # scipy, and in _solve_lp, which removes those rows itself
         rng = np.random.default_rng(0)
         space = random_quasi_metric(rng, 30)
         mu, nu = rng.random(30), rng.random(30)
@@ -213,8 +228,12 @@ class TestHighsBindings:
             tiny = rng.random(30) < 0.4
             m[tiny] = 10 ** rng.uniform(-12, -7, tiny.sum())
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        got, want, plan = self._lps(monkeypatch, space.dist ** 2, mu, nu)
+        seen, plan = self._captured_lps(monkeypatch, space.dist ** 2, mu, nu)
+        assert len(seen) == 2
+        c, a_eq, b_eq = seen[-1][:3]  # the full LP, after the reduced one
+        got, want = self._ours_and_scipy(c, a_eq, b_eq, presolve=True)
         self._assert_same(got, want)
+        assert np.array_equal(plan, got.x.reshape(30, 30))
         drift = max(np.abs(plan.sum(axis=1) - mu).max(),
                     np.abs(plan.sum(axis=0) - nu).max())
         assert drift > transport.MARGINAL_TOL
@@ -247,6 +266,32 @@ class TestHighsBindings:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+    def test_optimal_basis_restarts_without_iterations(self, rng):
+        c = random_quasi_metric(rng, 12).dist.ravel() ** 2
+        mu, nu = rng.random(12), rng.random(12)
+        a_eq = transport._transport_csc(12, 12)
+        b_eq = np.concatenate([mu / mu.sum(), (nu / nu.sum())[:-1]])
+        cold = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=False)
+        warm = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=False,
+                                 basis=cold.basis)
+        assert cold.nit > 0 and warm.nit == 0
+        for part in (0, 1):
+            assert np.array_equal(warm.basis[part], cold.basis[part])
+        # a fresh factorization of the same basis: equal up to rounding
+        assert np.allclose(warm.x, cold.x, rtol=0, atol=1e-15)
+        assert np.allclose(warm.eqlin.marginals, cold.eqlin.marginals,
+                           rtol=1e-12, atol=0)
+        # the columns are basic or at 0, one basic variable per row
+        assert set(np.unique(cold.basis[0])) <= {0, 1}
+        assert (cold.basis[0] == 1).sum() + (cold.basis[1] == 1).sum() == 23
+
+    def test_missing_extension_is_an_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, transport.HIGHS_MODULE, raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        with pytest.raises(ImportError, match=r"scipy >= 1\.17"):
+            transport._highs()
+        assert transport.HIGHS_MODULE not in sys.modules
 
     def test_infeasible_is_not_success(self):
         from scipy.sparse import csr_array
@@ -304,8 +349,33 @@ def transport_inputs(draw):
     return cost, marginals[0], marginals[1]
 
 
+def _presolved(cost, mu, nu):
+    """_solve_lp's answer, or its SpaceError message, with every
+    transport LP handed whole to HiGHS presolve."""
+    def presolve_all(c, a, b):
+        return transport.linprog(c.ravel(), A_eq=transport._transport_csc(*c.shape),
+                                 b_eq=np.concatenate([a, b[:-1]]))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_transport_lp", presolve_all)
+        try:
+            return transport._solve_lp(cost, mu, nu)
+        except SpaceError as exc:
+            return str(exc)
+
+
+def _assert_bitwise(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+
 class TestPresolveRule:
-    """_solve_lp runs presolve only on LPs that presolve can reduce."""
+    """_solve_lp runs HiGHS presolve only where numpy cannot do its work,
+    and gets bitwise the answer of the presolve path."""
 
     def test_threshold_is_highs_feasibility_tolerance(self):
         _, tol = transport._highs()._Highs().getOptionValue(
@@ -317,11 +387,12 @@ class TestPresolveRule:
     def test_skipping_presolve_changes_nothing(self, inputs):
         with pytest.MonkeyPatch.context() as mp:
             # the skewed inputs may fail _solve_lp's certificate; only the
-            # LP it hands to linprog matters here
-            (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
-                mp, *inputs, allow_failure=True)
-        if presolve:
-            return
+            # LPs it hands to linprog matter here
+            seen, _ = TestHighsBindings._captured_lps(mp, *inputs,
+                                                      allow_failure=True)
+        if len(seen) != 1 or seen[0][3]:
+            return  # the forcing-row reduction, or presolve on
+        c, a_eq, b_eq, _, _ = seen[0]
         assert _presolve_status(c, a_eq, b_eq) == \
             transport._highs().HighsPresolveStatus.kNotReduced
         on, off = (transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=flag)
@@ -333,9 +404,71 @@ class TestPresolveRule:
             assert np.array_equal(on.eqlin.marginals, off.eqlin.marginals)
             assert on.fun == off.fun
 
+    @given(transport_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_forcing_row_reduction_matches_presolve(self, inputs):
+        try:
+            got = transport._solve_lp(*inputs)
+        except SpaceError as exc:
+            got = str(exc)
+        _assert_bitwise(got, _presolved(*inputs))
+
+    def test_reduction_is_highs_presolved_lp(self, monkeypatch, rng):
+        # forcing rows on both sides, and nu's last entry, which has no row
+        n = 12
+        mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
+        mu[[2, 7]], nu[[0, 5, n - 1]] = 0.99e-7, [1e-7, 3e-9, 1e-8]
+        for m in (mu, nu):
+            big = m > transport.PRESOLVE_MASS
+            m[big] *= (1.0 - m[~big].sum()) / m[big].sum()
+        seen, plan = TestHighsBindings._captured_lps(
+            monkeypatch, random_quasi_metric(rng, n).dist ** 2, mu, nu)
+        (c_small, a_small, b_small, on, _), (c, a_eq, b_eq, _, basis) = seen
+        assert not on and basis is not None
+        highs = transport._highs_model(c, a_eq, b_eq, presolve=True)
+        highs.presolve()
+        lp = highs.getPresolvedLp()
+        assert (lp.num_row_, lp.num_col_) == a_small.shape == (10 + 9, 10 * 10)
+        assert np.array_equal(lp.col_cost_, c_small)
+        assert np.array_equal(lp.row_lower_, b_small)
+        assert np.array_equal(lp.row_upper_, b_small)
+        assert np.array_equal(lp.col_lower_, np.zeros(len(c_small)))
+        assert str(lp.a_matrix_.format_) == "MatrixFormat.kColwise"
+        assert np.array_equal(lp.a_matrix_.start_, a_small.indptr)
+        assert np.array_equal(lp.a_matrix_.index_, a_small.indices)
+        assert np.array_equal(lp.a_matrix_.value_, a_small.data)
+        # the completed basis is HiGHS's postsolved one: the full LP takes
+        # no pivot of its own
+        small = transport.linprog(c_small, A_eq=a_small, b_eq=b_small,
+                                  presolve=False)
+        full = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=False,
+                                 basis=basis)
+        whole = transport.linprog(c, A_eq=a_eq, b_eq=b_eq)
+        assert full.nit == 0 and small.nit == whole.nit
+        assert np.array_equal(full.x, whole.x)
+        assert np.array_equal(full.eqlin.marginals, whole.eqlin.marginals)
+        assert full.fun == whole.fun
+        assert np.array_equal(plan, whole.x.reshape(n, n))
+
+    def test_last_nu_mass_is_no_forcing_row(self, monkeypatch, rng):
+        # nu's last constraint is the redundant one left out of the LP
+        n = 12
+        mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
+        nu[-1] = 0.5e-7
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        cost = random_quasi_metric(rng, n).dist
+        (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
+            monkeypatch, cost, mu, nu)
+        assert not presolve
+        assert _presolve_status(c, a_eq, b_eq) == \
+            transport._highs().HighsPresolveStatus.kNotReduced
+        monkeypatch.undo()
+        _assert_bitwise(transport._solve_lp(cost, mu, nu),
+                        _presolved(cost, mu, nu))
+
     @pytest.mark.parametrize("nr, nc, least", [
-        (10, 10, 0.99e-7),  # a forcing row
-        (10, 10, 1e-7),
+        (3, 10, 0.99e-7),   # two rows left after the reduction
+        (3, 10, 1e-7),
         (2, 10, None),      # doubleton column constraints
         (10, 2, None),      # doubleton row constraints
         (1, 10, None),
