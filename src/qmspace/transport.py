@@ -6,8 +6,13 @@ programs with a post-solve complementary-slackness certificate; order-1
 problems also expose the Kantorovich-Rubinstein dual over asymmetric
 1-Lipschitz potentials f(y) - f(x) <= d(x, y).
 
-Every LP goes through ``linprog``, which hands the model to the HiGHS
-bindings that scipy ships, with the options that
+Every LP goes through ``_solve_lp``.  A strictly Monge cost (every
+adjacent 2 x 2 block has c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j],
+as |x - y|^p for p > 1 has on sorted points of a line) is solved in
+closed form: the north-west-corner plan is then the one optimal plan
+(Hoffman 1963), and the duals of its staircase prove it, so HiGHS is not
+needed.  Every other LP goes through ``linprog``, which hands the model
+to the HiGHS bindings that scipy ships, with the options that
 ``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
 pivots and returns the same plan, duals and value as that call with
 presolve on.  ``_solve_lp`` runs HiGHS presolve only on transport LPs
@@ -300,8 +305,14 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     goes through HiGHS presolve (singleton and doubleton rows); on most
     such LPs tried, presolve on and off differ in the last bits.  Every
     other LP has no forcing row and is solved with presolve off.
+
+    A strictly Monge cost with at least two rows and columns never
+    reaches HiGHS: ``_monge_lp`` solves it in closed form, whatever the
+    masses.
     """
     nr, nc = c.shape
+    if min(nr, nc) >= 2 and _strictly_monge(c):
+        return _monge_lp(c, a, b)
     keep_r = a > PRESOLVE_MASS
     keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
     kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
@@ -318,6 +329,71 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         basis = _forcing_basis(c, res, keep_r, keep_c)
     return linprog(c.ravel(), A_eq=_transport_csc(nr, nc), b_eq=b_eq,
                    presolve=False, basis=basis)
+
+
+def _strictly_monge(c: np.ndarray) -> bool:
+    """Whether c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j] on every
+    adjacent 2 x 2 block of the finite matrix c.  The first two rows are
+    tested alone first, which turns most other costs away in O(nc)."""
+    def strict(m):
+        return bool((m[:-1, :-1] + m[1:, 1:] < m[:-1, 1:] + m[1:, :-1]).all())
+    return strict(c[:2]) and strict(c) and bool(np.isfinite(c).all())
+
+
+def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``linprog``'s result for the transport LP of ``_transport_lp``
+    when c is strictly Monge (``_strictly_monge``), in closed form.
+
+    Adjacent 2 x 2 blocks that are strictly Monge make the whole matrix
+    strictly Monge, and then the north-west-corner plan is optimal
+    (Hoffman 1963) and the only optimal plan: any other plan holds mass
+    on some crossing pair of cells (i, j'), (i', j) with i < i', j < j',
+    and moving it to (i, j), (i', j') lowers the cost.  The plan walks a
+    staircase from (0, 0) to (nr - 1, nc - 1), going down when row i is
+    used up (also on a tie, which leaves a zero on the staircase) and
+    right otherwise; in the last row each column gets what it still
+    needs, and the last column takes what each row has left.
+    Its nr + nc - 1 cells, zeros included, are a spanning tree, and the
+    duals u, v with u[i] + v[j] = c[i, j] on it and v[nc - 1] = 0 are
+    read off backwards from the last cell.  They are dual feasible: the
+    reduced cost of a cell off the staircase is a sum of adjacent Monge
+    differences, so it is positive.  ``_solve_lp`` checks both.
+    """
+    nr, nc = c.shape
+    a, b = a.tolist(), b.tolist()  # Python floats: the same sums, faster
+    rows, cols, mass = [0], [0], []
+    i = j = 0
+    left, need = a[0], b[0]  # what row i still holds, column j still takes
+    while (i, j) != (nr - 1, nc - 1):
+        if j == nc - 1 or (i < nr - 1 and left <= need):
+            mass.append(left)
+            need -= left
+            i += 1
+            left = a[i]
+        else:
+            mass.append(need)
+            left -= need
+            j += 1
+            need = b[j]
+        rows.append(i)
+        cols.append(j)
+    mass.append(left)
+    stair = c[rows, cols]
+    u, v = [0.0] * nr, [0.0] * nc
+    u[-1] = float(stair[-1])
+    for k in range(len(mass) - 2, -1, -1):
+        # cell k shares a row or a column with cell k + 1, whose row and
+        # column are both known: read off the other one
+        i, j, ck = rows[k], cols[k], float(stair[k])
+        if i < rows[k + 1]:
+            u[i] = ck - v[j]
+        else:
+            v[j] = ck - u[i]
+    x = np.zeros((nr, nc))
+    x[rows, cols] = mass
+    return SimpleNamespace(success=True, message="Optimal", nit=0,
+                           x=x.ravel(), fun=float(np.dot(stair, mass)),
+                           eqlin=SimpleNamespace(marginals=np.array(u + v[:-1])))
 
 
 def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
@@ -356,7 +432,11 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     psi[j] = min over rows with mass of cost[i, j] - u[i].
 
     Points without mass are dropped, and ``_transport_lp`` solves the
-    rest with the presolve rule given there.  That HiGHS presolve makes
+    rest: in closed form if the kept cost is strictly Monge (dropping
+    rows and columns keeps a Monge matrix Monge), otherwise with HiGHS
+    and the presolve rule given there.  The closed form is exact: its
+    plan is the only optimum, so it has HiGHS's support, and it must pass
+    the same certificate below.  That HiGHS presolve makes
     no reduction but the forcing rows on an LP with at least three rows
     and columns is measured, not proven: on every LP tested
     (``TestPresolveRule`` and every seed-0 LP of the perfbench

@@ -245,6 +245,19 @@ class TestCdCheck:
                            [0.5])
         assert reports[0].passed
 
+    @pytest.mark.parametrize("w", [1.0, 4.0])
+    def test_gaussian_line_bumps(self, w):
+        # ROADMAP item 2's headline probe: density bumps exp(-w (x +- 1)^2)
+        # against the Gaussian weights; HiGHS's plan missed the marginals
+        # ("coupling marginals do not match") at both widths
+        ms = gaussian_line(1.0, 3.0, 0.1)
+        x = ms.space.coords[:, 0]
+        mu0, mu1 = (ms.weights * np.exp(-w * (x + s) ** 2) for s in (1.0, -1.0))
+        reports = cd_check(ms, mu0 / mu0.sum(), mu1 / mu1.sum(), 1.0, INF,
+                           entropy_nonlinearity(), [0.25, 0.5, 0.75])
+        assert len(reports) == 3
+        assert all(r.passed for r in reports)
+
     def test_no_certificate_phrasing(self):
         # an impossibly strong curvature claim on a flat grid must fail,
         # and the report says "no certificate", never "violation"

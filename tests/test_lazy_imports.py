@@ -58,15 +58,20 @@ import json, os, sys, tempfile
 from qmspace import cli
 with tempfile.TemporaryDirectory() as tmp:
     line, prob = os.path.join(tmp, "line.json"), os.path.join(tmp, "prob.json")
+    funk = os.path.join(tmp, "funk.json")
     assert cli.main(["gen", "gaussian-line", "--K", "1", "--half-width", "2",
                      "--grid", "0.25", "-o", line]) == 0
+    assert cli.main(["gen", "funk", "--dim", "2", "--grid", "0.3",
+                     "--clip-r", "1", "-o", funk]) == 0
+    # a cyclic cost: not Monge, so the LP goes to HiGHS
     with open(prob, "w") as fh:
-        json.dump({"dist": [[0, 1, 2], [1.5, 0, 1], [2, 1, 0]],
+        json.dump({"dist": [[0, 2, 1], [1, 0, 2], [2, 1, 0]],
                    "mu": [0.5, 0.3, 0.2], "nu": [0.2, 0.3, 0.5], "p": 2}, fh)
     argv = {"w": ["dist", "w", prob],
             "ineq": ["ineq", line, "--K", "1", "--log-sobolev", "--poincare",
                      "--hwi"],
-            "cd-check": ["cd-check", line, "--K", "0"]}[sys.argv[1]]
+            "cd-check": ["cd-check", line, "--K", "0"],
+            "cd-check-funk": ["cd-check", funk, "--K", "0"]}[sys.argv[1]]
     assert cli.main(argv + ["-o", os.path.join(tmp, "out.json")]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
@@ -80,17 +85,24 @@ def _scipy_modules_after(command):
 
 
 def test_lp_commands_load_only_the_highs_extension():
-    for command in ("w", "ineq"):
-        loaded = _scipy_modules_after(command)
-        assert loaded
-        assert all(m.startswith(transport.HIGHS_MODULE) for m in loaded), loaded
+    # a cost that is not strictly Monge goes to HiGHS
+    loaded = _scipy_modules_after("w")
+    assert transport.HIGHS_MODULE in loaded
+    assert all(m.startswith(transport.HIGHS_MODULE) for m in loaded), loaded
 
 
 def test_cd_check_loads_no_scipy_optimize_package():
     # its chains come from core.dijkstra, in numpy: no scipy.sparse either
-    loaded = _scipy_modules_after("cd-check")
+    loaded = _scipy_modules_after("cd-check-funk")
     assert transport.HIGHS_MODULE in loaded
     assert all(m.startswith(transport.HIGHS_MODULE) for m in loaded), loaded
+
+
+def test_line_commands_load_no_scipy():
+    # |x - y|^2 on sorted points is strictly Monge: every LP of these
+    # commands is solved in closed form, without HiGHS
+    for command in ("ineq", "cd-check"):
+        assert _scipy_modules_after(command) == []
 
 
 ORDER_CHILD = """
@@ -146,7 +158,9 @@ def test_solvers_call_through_the_module_attributes(monkeypatch):
     monkeypatch.setattr(ghdist, "_max_flow",
                         _counted(calls, "_max_flow", ghdist._max_flow))
 
-    x = np.arange(6.0)
+    # points out of order along the line, so the cost is not Monge in
+    # index order and the LP goes to linprog
+    x = np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
     gap = x[None, :] - x[:, None]
     space = QuasiMetricSpace(np.where(gap > 0, gap, -2.0 * gap))  # leftward x2
     mu = np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0])

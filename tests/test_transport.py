@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -23,12 +23,14 @@ from qmspace import (
     TransportProblem,
     asymmetry_bound_check,
     dynamical_plan,
+    gaussian_line,
     geodesy_check,
     interpolate,
     kr_dual,
     wasserstein,
 )
 from qmspace import transport
+from qmspace.io import PLAN_TOL
 from qmspace.transport import default_hop_radius
 
 
@@ -257,7 +259,7 @@ class TestHighsBindings:
         mu[rng.choice(n, nr, replace=False)] = rng.random(nr) + 0.1
         nu[rng.choice(n, nc, replace=False)] = rng.random(nc) + 0.1
         (_, got, _, _), _ = self._captured_lp(
-            monkeypatch, random_quasi_metric(rng, n).dist,
+            monkeypatch, _not_monge(random_quasi_metric(rng, n).dist, mu, nu),
             mu / mu.sum(), nu / nu.sum())
         want = transport_constraints(nr, nc)
         assert got.shape == want.shape
@@ -304,6 +306,27 @@ class TestHighsBindings:
         assert res.message == "Infeasible"
 
 
+def _not_monge(cost, mu, nu):
+    """cost with its first cell between masses raised to the sum of its
+    two neighbours, so that the first 2 x 2 block of the LP's costs is not
+    strictly Monge and the LP goes to HiGHS."""
+    i, j = np.flatnonzero(mu)[:2], np.flatnonzero(nu)[:2]
+    cost = cost.copy()
+    if len(i) == len(j) == 2:
+        cost[i[0], j[0]] = cost[i[0], j[1]] + cost[i[1], j[0]]
+    return cost
+
+
+def _kept(d, mu, nu, p=1):
+    """The cost d^p and the masses of the LP that _solve_lp hands on."""
+    return d[np.ix_(mu > 0, nu > 0)] ** p, mu[mu > 0], nu[nu > 0]
+
+
+def _goes_closed_form(c):
+    """Whether _transport_lp solves the LP of kept cost c in closed form."""
+    return min(c.shape) >= 2 and transport._strictly_monge(c)
+
+
 def _presolve_status(c, a_eq, b_eq):
     """What HiGHS's presolve makes of the LP that linprog would solve."""
     highs = transport._highs_model(c, a_eq, b_eq, presolve=True)
@@ -327,26 +350,35 @@ def transport_inputs(draw):
         d = euclidean_grid_1d(draw(st.sampled_from([0.5, 0.1, 0.05]))).space.dist
     n = len(d)
     cost = 10.0 ** draw(st.integers(-6, 6)) * d ** draw(st.sampled_from([1, 2, 3]))
-    marginals = []
-    for _ in range(2):
-        m = rng.random(n)
-        shape = draw(st.sampled_from(["dense", "zeros", "above", "below"]))
-        if shape == "zeros":
-            m[rng.random(n) < 0.5] = 0.0
-        small = np.zeros(n, dtype=bool)
-        if shape in ("above", "below"):
-            small = rng.random(n) < 0.3
-        big = rng.integers(n)  # neither small nor zero, so m can sum to 1
-        m[big], small[big] = 0.5 + m[big], False
-        tol = transport.PRESOLVE_MASS
-        if shape == "above":  # the least float above the tolerance, and up
-            m[small] = np.nextafter(tol, 1.0) * rng.uniform(1.0, 1.5, small.sum())
-            m[np.flatnonzero(small)[:1]] = np.nextafter(tol, 1.0)
-        elif shape == "below":
-            m[small] = tol * 10.0 ** rng.uniform(-5.0, 0.0, small.sum())
-        m[~small] *= (1.0 - m[small].sum()) / m[~small].sum()
-        marginals.append(m)
-    return cost, marginals[0], marginals[1]
+    return cost, _marginal(draw, rng, n), _marginal(draw, rng, n)
+
+
+MARGINAL_SHAPES = ["dense", "zeros", "above", "below"]
+
+
+def _marginal(draw, rng, n, shapes=MARGINAL_SHAPES):
+    """A probability vector of length n in one of the shapes: dense, with
+    zero masses, with masses just above or below HiGHS's feasibility
+    tolerance, or U^4 ("skewed")."""
+    m = rng.random(n)
+    shape = draw(st.sampled_from(shapes))
+    if shape == "skewed":
+        return m ** 4 / (m ** 4).sum()
+    if shape == "zeros":
+        m[rng.random(n) < 0.5] = 0.0
+    small = np.zeros(n, dtype=bool)
+    if shape in ("above", "below"):
+        small = rng.random(n) < 0.3
+    big = rng.integers(n)  # neither small nor zero, so m can sum to 1
+    m[big], small[big] = 0.5 + m[big], False
+    tol = transport.PRESOLVE_MASS
+    if shape == "above":  # the least float above the tolerance, and up
+        m[small] = np.nextafter(tol, 1.0) * rng.uniform(1.0, 1.5, small.sum())
+        m[np.flatnonzero(small)[:1]] = np.nextafter(tol, 1.0)
+    elif shape == "below":
+        m[small] = tol * 10.0 ** rng.uniform(-5.0, 0.0, small.sum())
+    m[~small] *= (1.0 - m[small].sum()) / m[~small].sum()
+    return m
 
 
 def _presolved(cost, mu, nu):
@@ -407,6 +439,9 @@ class TestPresolveRule:
     @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
     def test_forcing_row_reduction_matches_presolve(self, inputs):
+        # strictly Monge costs never reach HiGHS; TestMongeClosedForm
+        # covers them
+        assume(not _goes_closed_form(_kept(*inputs)[0]))
         try:
             got = transport._solve_lp(*inputs)
         except SpaceError as exc:
@@ -488,6 +523,143 @@ class TestPresolveRule:
         assert presolve
         assert _presolve_status(c, a_eq, b_eq) != \
             transport._highs().HighsPresolveStatus.kNotReduced
+
+
+@st.composite
+def line_inputs(draw):
+    """(d, mu, nu, p) on sorted points of a line, n from 2 to 50: d is
+    |y - x|, or the asymmetric a(y - x) rightward and b(x - y) leftward;
+    p in (1, 3]; each marginal in a shape of ``transport_inputs`` or U^4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.one_of(st.integers(2, 6), st.integers(7, 50)))
+    x = np.cumsum(rng.uniform(0.5, 1.5, n)) / n
+    gap = x[None, :] - x[:, None]
+    if draw(st.booleans()):
+        d = np.abs(gap)
+    else:
+        right, left = rng.uniform(0.2, 5.0, 2)
+        d = np.where(gap > 0, right * gap, -left * gap)
+    p = draw(st.floats(1.0, 3.0, exclude_min=True))
+    shapes = MARGINAL_SHAPES + ["skewed"]
+    return d, _marginal(draw, rng, n, shapes), _marginal(draw, rng, n, shapes), p
+
+
+def _kernel(c, a, b):
+    """_transport_lp's result, and how many linprog calls it made."""
+    calls = []
+    ours = transport.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ours(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "linprog", counted)
+        res = transport._transport_lp(c, a, b)
+    return res, len(calls)
+
+
+class TestMongeClosedForm:
+    """Strictly Monge costs are solved in closed form, without HiGHS, and
+    the closed form is the optimum."""
+
+    @given(line_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_is_the_optimum(self, inputs):
+        c, a, b = _kept(*inputs)
+        # at p very near 1, rounding can leave a block not strictly Monge
+        assume(_goes_closed_form(c))
+        res, calls = _kernel(c, a, b)
+        assert calls == 0 and res.success
+        plan, value = res.x.reshape(c.shape), res.fun
+        u = res.eqlin.marginals[:len(a)]
+        v = np.append(res.eqlin.marginals[len(a):], 0.0)
+        reduced = c - u[:, None] - v
+        # its own certificate, to rounding: a plan on the marginals, and
+        # duals that are feasible and slack where the plan is not 0
+        assert plan.min() >= -1e-15
+        assert np.abs(plan.sum(axis=1) - a).max() <= 1e-14
+        assert np.abs(plan.sum(axis=0) - b).max() <= 1e-14
+        assert reduced.min() >= -1e-12 * c.max()
+        assert np.abs(plan * reduced).max() <= 1e-12 * c.max()
+        if c.size <= 12:  # the oracle enumerates C(c.size, nr + nc - 1) trees
+            want = polytope_vertex_minimum(c, a, b)
+            assert abs(value - want) <= 1e-12 * want
+            return
+        highs = transport.linprog(
+            c.ravel(), A_eq=transport._transport_csc(*c.shape),
+            b_eq=np.concatenate([a, b[:-1]]), presolve=False)
+        if not highs.success:
+            return
+        other = np.maximum(highs.x.reshape(c.shape), 0.0)
+        miss_a = np.abs(other.sum(axis=1) - a)
+        miss_b = np.abs(other.sum(axis=0) - b)
+        # weak duality with the closed form's duals: a plan that misses
+        # the marginals by miss_a and miss_b costs at least this much
+        bound = value - np.abs(u) @ miss_a - np.abs(v) @ miss_b
+        assert (c * other).sum() >= bound - 1e-12 * (value + c.max())
+        hu = highs.eqlin.marginals[:len(a)]
+        hv = np.append(highs.eqlin.marginals[len(a):], 0.0)
+        meets = (np.all(miss_a <= np.minimum(1e-14, 1e-9 * a))
+                 and np.all(miss_b <= np.minimum(1e-14, 1e-9 * b)))
+        if meets and (c - hu[:, None] - hv).min() >= -1e-12 * c.max():
+            # HiGHS meets every mass and certifies its plan to rounding
+            assert abs(value - highs.fun) <= 1e-12 * value
+            # and where no block is Monge by less than that allows, the
+            # optimum is unique and HiGHS's plan is it
+            gap = c[:-1, 1:] + c[1:, :-1] - c[:-1, :-1] - c[1:, 1:]
+            if gap.min() > 1e-9 * c.max():
+                assert np.array_equal(plan > PLAN_TOL, other > PLAN_TOL)
+
+    @given(line_inputs(), st.floats(-6.0, 6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_rescaled_distances_scale_the_value(self, inputs, log_k):
+        d, mu, nu, p = inputs
+        k = 10.0 ** log_k
+        c, a, b = _kept(d, mu, nu, p)
+        scaled = _kept(k * d, mu, nu, p)[0]
+        assume(_goes_closed_form(c) and _goes_closed_form(scaled))
+        res, _ = _kernel(c, a, b)
+        res_k, calls = _kernel(scaled, a, b)
+        assert calls == 0
+        # the plan does not read the cost, only its Monge property
+        assert np.array_equal(res_k.x, res.x)
+        w, w_k = res.fun ** (1.0 / p), res_k.fun ** (1.0 / p)
+        assert abs(w_k - k * w) <= 1e-12 * k * w
+
+    @given(line_inputs(), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_one_non_monge_block_goes_to_highs(self, inputs, first):
+        c, a, b = _kept(*inputs)
+        assume(min(c.shape) >= 2)
+        c = c.copy()
+        if first:  # turned away by the first two rows
+            c[0, 0] = c[0, 1] + c[1, 0]
+        else:  # only by the whole matrix, unless it has two rows
+            c[-1, -1] = c[-1, -2] + c[-2, -1]
+        _, calls = _kernel(c, a, b)
+        assert calls > 0
+
+    def test_skewed_line_solves_at_every_scale(self):
+        # ROADMAP item 2: with HiGHS, U^4 masses on this line raised
+        # "coupling marginals do not match" at k = 1 and 1e3 and a
+        # certificate failure at 1e-3 and 1e6, and W/k came out 9.3 times
+        # too large at 1e-6
+        line = gaussian_line(1.0, 2.5, 0.025)
+        rng = np.random.default_rng(0)
+        mu, nu = rng.random(line.n) ** 4, rng.random(line.n) ** 4
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        w, coupling = wasserstein(TransportProblem(line.space, mu, nu, 2.0))
+        for k in (1e-6, 1e-3, 1e3):
+            scaled = QuasiMetricSpace(k * line.space.dist)
+            w_k, coupling_k = wasserstein(TransportProblem(scaled, mu, nu, 2.0))
+            assert abs(w_k - k * w) <= 1e-12 * k * w
+            assert np.array_equal(coupling_k.matrix, coupling.matrix)
+        # at k = 1e6 the duals reach 1e12, and their rounding alone is
+        # above the certificate's absolute 1e-7, so _solve_lp refuses the
+        # answer; the plan is still the same
+        res = transport._transport_lp((1e6 * line.space.dist) ** 2, mu, nu)
+        assert np.array_equal(res.x.reshape(line.n, line.n), coupling.matrix)
 
 
 def test_kr_dual_matches_primal(rng):
