@@ -11,8 +11,27 @@ adjacent 2 x 2 block has c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j],
 as |x - y|^p for p > 1 has on sorted points of a line) is solved in
 closed form: the north-west-corner plan is then the one optimal plan
 (Hoffman 1963), and the duals of its staircase prove it, so HiGHS is not
-needed.  Every other LP goes through ``linprog``, which hands the model
-to the HiGHS bindings that scipy ships, with the options that
+needed.
+
+An LP with at least three rows and columns, no forcing row (below) and
+no two equal positive costs is solved next by column generation, in the
+spirit of the shortlist method (Gottschlich and Schuhmacher 2014): HiGHS
+solves it over a few cheap cells per row and column, on the cost divided
+by its largest entry, and the cells that price out negative over all
+nr x nc join until none does (at most 16 rounds).  The answer is kept
+only if its basis is a spanning tree and every cell off the tree has a
+reduced cost above 1e-9 of the largest cost.  Its plan is then the one
+optimal plan, and so the plan the dense LP finds whenever that LP is
+solved exactly; the value and the plan agree with the dense solve to
+rounding.  Funk and other generic asymmetric samples have such costs.
+An LP with tied costs (the grids and other symmetric samples, where the
+optimal face is often large and the plan would depend on the pivots,
+ROADMAP item 3) or with a forcing row (whose marginal drift, ROADMAP
+item 2, stays as it is), and any attempt that does not prove its plan
+unique, goes to the dense LP below, bit for bit as before.
+
+The dense LP goes through ``linprog``, which hands the model to the
+HiGHS bindings that scipy ships, with the options that
 ``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
 pivots and returns the same plan, duals and value as that call with
 presolve on.  ``_solve_lp`` runs HiGHS presolve only on transport LPs
@@ -69,6 +88,21 @@ MASS_TOL = 1e-12
 #: mass at or below it into a forcing row
 PRESOLVE_MASS = 1e-7
 DUALITY_TOL = 1e-7
+#: column generation starts from this many cheapest cells per row and
+#: per column; adds a cell whose reduced cost, relative to the largest
+#: cost, is below -_CG_ENTER; and accepts a plan whose cells off its tree
+#: all have relative reduced costs above _CG_UNIQUE.  HiGHS solves its
+#: LPs to _CG_HIGHS_TOL: with its default 1e-7 it stops with cells in
+#: the LP priced down to -4e-8 (400-point Funk samples), which no
+#: pricing round can add and which fail the acceptance test.  HiGHS
+#: rejects 1e-12 (status kError) and takes 1e-10.  An attempt that has
+#: not stopped adding cells after _CG_ROUNDS restricted LPs is given up
+#: (Funk samples of 150 to 1200 points stop after 1 to 7).
+_CG_NEAREST = 8
+_CG_ENTER = 1e-12
+_CG_UNIQUE = 1e-9
+_CG_HIGHS_TOL = 1e-10
+_CG_ROUNDS = 16
 CHAIN_TOL = 0.5
 #: slack allowed in asymmetry_bound_check
 ASYMMETRY_TOL = 1e-9
@@ -178,13 +212,16 @@ class _CSC(NamedTuple):
         return self
 
 
-def _highs_model(c, a, b_eq, presolve: bool):
+def _highs_model(c, a, b_eq, presolve: bool, tolerance=None):
     """A HiGHS instance holding min c @ x, a @ x = b_eq, x >= 0 (a in
     column-compressed form), with the options ``linprog`` sets."""
     highspy = _highs()
     m, n = a.shape
     highs = highspy._Highs()
     highs.setOptionValue("presolve", "on" if presolve else "off")
+    if tolerance is not None:
+        highs.setOptionValue("primal_feasibility_tolerance", tolerance)
+        highs.setOptionValue("dual_feasibility_tolerance", tolerance)
     highs.setOptionValue("simplex_strategy", int(
         highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
     highs.setOptionValue("output_flag", False)
@@ -197,7 +234,7 @@ def _highs_model(c, a, b_eq, presolve: bool):
     return highs
 
 
-def linprog(c, *, A_eq, b_eq, presolve=True, basis=None):
+def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None):
     """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
 
     Sets what ``scipy.optimize.linprog(method="highs")`` sets (presolve
@@ -207,7 +244,8 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None):
     off, as scipy's ``options={"presolve": False}`` does; on an LP that
     presolve leaves unreduced the answer is bitwise the same either way.
     It skips scipy's loop over every column that builds bound duals,
-    which no caller reads.
+    which no caller reads.  ``tolerance``, if given, replaces HiGHS's
+    primal and dual feasibility tolerances (both 1e-7 by default).
 
     A_eq is anything whose ``tocsc()`` has ``indptr``, ``indices``,
     ``data``, ``shape`` and ``nnz``: a scipy sparse matrix, or the arrays
@@ -232,7 +270,7 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None):
     if not np.isfinite(c).all():
         return SimpleNamespace(success=False, message="non-finite cost", nit=0)
 
-    highs = _highs_model(c, a, b_eq, presolve)
+    highs = _highs_model(c, a, b_eq, presolve, tolerance)
     if basis is not None:
         codes = highspy.HighsBasisStatus
         lookup = [codes.kLower, codes.kBasic, codes.kUpper]
@@ -261,20 +299,24 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None):
     return res
 
 
-def _transport_csc(nr: int, nc: int) -> _CSC:
+def _transport_csc(nr: int, nc: int, cells=None) -> _CSC:
     """The equality constraints of the nr x nc transportation LP: row
     sums, then column sums but the last, which is redundant.
 
-    Column k = i * nc + j has a 1 in row i and, for j < nc - 1, in row
-    nr + j, so k // nc columns with one entry come before column k.
+    One column per cell k = i * nc + j of ``cells``, in that order (every
+    cell, in order, if None): a 1 in row i and, for j < nc - 1, in row
+    nr + j.
     """
-    k = np.arange(nr * nc + 1, dtype=np.int32)
-    rows = np.empty((nr, nc, 2), dtype=np.int32)
-    rows[..., 0] = np.arange(nr)[:, None]
-    rows[..., 1] = nr + np.arange(nc)
-    indices = rows.reshape(nr, 2 * nc)[:, :-1].ravel()
-    return _CSC(2 * k - k // nc, indices, np.ones(len(indices)),
-                (nr + nc - 1, nr * nc))
+    k = (np.arange(nr * nc, dtype=np.int32) if cells is None
+         else np.asarray(cells, dtype=np.int32))
+    i = k // nc
+    j = k - i * nc
+    last = j == nc - 1
+    indices = np.delete(np.stack([i, nr + j], axis=1).ravel(),
+                        2 * np.flatnonzero(last) + 1)
+    indptr = np.zeros(len(k) + 1, dtype=np.int32)
+    np.cumsum(2 - last, out=indptr[1:])
+    return _CSC(indptr, indices, np.ones(len(indices)), (nr + nc - 1, len(k)))
 
 
 def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -308,11 +350,22 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     A strictly Monge cost with at least two rows and columns never
     reaches HiGHS: ``_monge_lp`` solves it in closed form, whatever the
-    masses.
+    masses.  Otherwise an LP with at least three rows and columns, no
+    forcing row and no two equal positive costs
+    (``_tries_column_generation``) goes to ``_column_generation`` first,
+    and its answer is returned if it proves its plan to be the only
+    optimum.  Column generation is not
+    tried with forcing rows, so that their answers stay those of the
+    presolve path, nor with tied costs: there the optimum is rarely
+    unique, and an attempt would be wasted (cd-check's grid LPs).
     """
     nr, nc = c.shape
     if min(nr, nc) >= 2 and _strictly_monge(c):
         return _monge_lp(c, a, b)
+    if _tries_column_generation(c, a, b):
+        res = _column_generation(c, a, b)
+        if res is not None:
+            return res
     keep_r = a > PRESOLVE_MASS
     keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
     kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
@@ -340,6 +393,103 @@ def _strictly_monge(c: np.ndarray) -> bool:
     return strict(c[:2]) and strict(c) and bool(np.isfinite(c).all())
 
 
+def _tries_column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``_transport_lp`` tries column generation on the LP of
+    cost c and masses a, b: at least three rows and columns, no forcing
+    row (every mass above PRESOLVE_MASS but nu's last, which has no row)
+    and no two equal positive costs."""
+    return (min(c.shape) >= 3 and bool((a > PRESOLVE_MASS).all())
+            and bool((b[:-1] > PRESOLVE_MASS).all()) and _distinct_costs(c))
+
+
+def _distinct_costs(c: np.ndarray) -> bool:
+    """Whether c is finite and has positive entries, no two of them
+    equal.  The first row is tested alone first, which turns most tied
+    costs (grids and other symmetric samples) away in O(nc log nc)."""
+    def distinct(m):
+        s = np.sort(m, axis=None)
+        if not (np.isfinite(s[0]) and np.isfinite(s[-1]) and s[-1] > 0):
+            return False
+        s = s[np.searchsorted(s, 0.0, side="right"):]
+        return bool((s[1:] > s[:-1]).all())
+    return distinct(c[0]) and distinct(c)
+
+
+def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``linprog``'s result for the transport LP of ``_transport_lp``,
+    solved over a growing set of cells, or None if that does not prove
+    its plan to be the only optimum.
+
+    The cost is divided by its largest entry, so HiGHS's absolute
+    tolerances act relative to it; the value and the duals are scaled
+    back.  The first restricted LP holds the _CG_NEAREST cheapest cells
+    of each row and of each column, and the north-west-corner staircase,
+    so it is feasible.  Each round solves the restricted LP with presolve
+    off and feasibility tolerances of _CG_HIGHS_TOL, from the last
+    round's basis, prices all nr x nc reduced costs, and adds each row's
+    and each column's most negative cell outside the LP if it is below
+    -_CG_ENTER.  If cells are still added after _CG_ROUNDS rounds, the
+    attempt is given up: each round adds at most nr + nc cells, so no
+    restricted LP holds more than the first one's cells and
+    (_CG_ROUNDS - 1) x (nr + nc) more.  When none is added, the result is
+    returned only if the final basis is a spanning tree (nr + nc - 1
+    basic cells, no basic row logical), its plan is nonnegative, and
+    every cell off the tree has a reduced cost above _CG_UNIQUE on the
+    scaled cost.  Then the plan
+    meets the masses to rounding and is the only optimal plan of the full
+    LP: any other feasible plan puts mass on a cell off the tree and
+    costs more.
+    """
+    nr, nc = c.shape
+    scale = np.abs(c).max()
+    cs = c / scale
+    start = np.zeros((nr, nc), dtype=bool)
+    near = min(_CG_NEAREST, nc)
+    np.put_along_axis(start, np.argpartition(cs, near - 1, axis=1)[:, :near],
+                      True, axis=1)
+    near = min(_CG_NEAREST, nr)
+    np.put_along_axis(start, np.argpartition(cs, near - 1, axis=0)[:near],
+                      True, axis=0)
+    start[_north_west_corner(a, b)[:2]] = True
+    cells = np.flatnonzero(start)
+    b_eq = np.concatenate([a, b[:-1]])
+    basis, nit = None, 0
+    for _ in range(_CG_ROUNDS):
+        res = linprog(cs.ravel()[cells], A_eq=_transport_csc(nr, nc, cells),
+                      b_eq=b_eq, presolve=False, basis=basis,
+                      tolerance=_CG_HIGHS_TOL)
+        if not res.success:
+            return None
+        nit += res.nit
+        duals = res.eqlin.marginals
+        reduced = cs - duals[:nr, None] - np.append(duals[nr:], 0.0)
+        in_lp = reduced.ravel()[cells]
+        reduced.ravel()[cells] = np.inf
+        rows_in = np.flatnonzero(reduced.min(axis=1) < -_CG_ENTER)
+        cols_in = np.flatnonzero(reduced.min(axis=0) < -_CG_ENTER)
+        enter = np.union1d(rows_in * nc + reduced[rows_in].argmin(axis=1),
+                           reduced[:, cols_in].argmin(axis=0) * nc + cols_in)
+        if len(enter) == 0:
+            break
+        cells = np.concatenate([cells, enter])
+        basis = (np.concatenate([res.basis[0], np.zeros(len(enter), np.int8)]),
+                 res.basis[1])
+    else:
+        return None
+    tree = res.basis[0] == 1
+    off_tree = min(reduced.min(), in_lp[~tree].min(initial=np.inf))
+    if ((res.basis[1] == 1).any() or res.x[tree].min() < 0
+            or off_tree <= _CG_UNIQUE):
+        return None
+    x = np.zeros(nr * nc)
+    x[cells] = res.x
+    status = np.zeros(nr * nc, dtype=np.int8)
+    status[cells] = res.basis[0]
+    return SimpleNamespace(success=True, message=res.message, nit=nit, x=x,
+                           fun=res.fun * scale, basis=(status, res.basis[1]),
+                           eqlin=SimpleNamespace(marginals=duals * scale))
+
+
 def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     """``linprog``'s result for the transport LP of ``_transport_lp``
     when c is strictly Monge (``_strictly_monge``), in closed form.
@@ -348,18 +498,44 @@ def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     strictly Monge, and then the north-west-corner plan is optimal
     (Hoffman 1963) and the only optimal plan: any other plan holds mass
     on some crossing pair of cells (i, j'), (i', j) with i < i', j < j',
-    and moving it to (i, j), (i', j') lowers the cost.  The plan walks a
-    staircase from (0, 0) to (nr - 1, nc - 1), going down when row i is
-    used up (also on a tie, which leaves a zero on the staircase) and
-    right otherwise; in the last row each column gets what it still
-    needs, and the last column takes what each row has left.
-    Its nr + nc - 1 cells, zeros included, are a spanning tree, and the
-    duals u, v with u[i] + v[j] = c[i, j] on it and v[nc - 1] = 0 are
-    read off backwards from the last cell.  They are dual feasible: the
-    reduced cost of a cell off the staircase is a sum of adjacent Monge
-    differences, so it is positive.  ``_solve_lp`` checks both.
+    and moving it to (i, j), (i', j') lowers the cost.  Its staircase
+    (``_north_west_corner``) is a spanning tree, and the duals u, v with
+    u[i] + v[j] = c[i, j] on it and v[nc - 1] = 0 are read off backwards
+    from the last cell.  They are dual feasible: the reduced cost of a
+    cell off the staircase is a sum of adjacent Monge differences, so it
+    is positive.  ``_solve_lp`` checks both.
     """
     nr, nc = c.shape
+    rows, cols, mass = _north_west_corner(a, b)
+    stair = c[rows, cols]
+    u, v = [0.0] * nr, [0.0] * nc
+    u[-1] = float(stair[-1])
+    for k in range(len(mass) - 2, -1, -1):
+        # cell k shares a row or a column with cell k + 1, whose row and
+        # column are both known: read off the other one
+        i, j, ck = rows[k], cols[k], float(stair[k])
+        if i < rows[k + 1]:
+            u[i] = ck - v[j]
+        else:
+            v[j] = ck - u[i]
+    x = np.zeros((nr, nc))
+    x[rows, cols] = mass
+    return SimpleNamespace(success=True, message="Optimal", nit=0,
+                           x=x.ravel(), fun=float(np.dot(stair, mass)),
+                           eqlin=SimpleNamespace(marginals=np.array(u + v[:-1])))
+
+
+def _north_west_corner(a: np.ndarray, b: np.ndarray):
+    """The north-west-corner plan of masses a and b, as the rows, columns
+    and masses of its nr + nc - 1 cells, zeros included.
+
+    The walk goes from (0, 0) to (nr - 1, nc - 1), down when row i is
+    used up (also on a tie, which leaves a zero on the staircase) and
+    right otherwise; in the last row each column gets what it still
+    needs, and the last column takes what each row has left.  The cells
+    form a spanning tree of the rows and columns.
+    """
+    nr, nc = len(a), len(b)
     a, b = a.tolist(), b.tolist()  # Python floats: the same sums, faster
     rows, cols, mass = [0], [0], []
     i = j = 0
@@ -378,22 +554,7 @@ def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         rows.append(i)
         cols.append(j)
     mass.append(left)
-    stair = c[rows, cols]
-    u, v = [0.0] * nr, [0.0] * nc
-    u[-1] = float(stair[-1])
-    for k in range(len(mass) - 2, -1, -1):
-        # cell k shares a row or a column with cell k + 1, whose row and
-        # column are both known: read off the other one
-        i, j, ck = rows[k], cols[k], float(stair[k])
-        if i < rows[k + 1]:
-            u[i] = ck - v[j]
-        else:
-            v[j] = ck - u[i]
-    x = np.zeros((nr, nc))
-    x[rows, cols] = mass
-    return SimpleNamespace(success=True, message="Optimal", nit=0,
-                           x=x.ravel(), fun=float(np.dot(stair, mass)),
-                           eqlin=SimpleNamespace(marginals=np.array(u + v[:-1])))
+    return rows, cols, mass
 
 
 def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
@@ -433,10 +594,17 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
     Points without mass are dropped, and ``_transport_lp`` solves the
     rest: in closed form if the kept cost is strictly Monge (dropping
-    rows and columns keeps a Monge matrix Monge), otherwise with HiGHS
-    and the presolve rule given there.  The closed form is exact: its
-    plan is the only optimum, so it has HiGHS's support, and it must pass
-    the same certificate below.  That HiGHS presolve makes
+    rows and columns keeps a Monge matrix Monge), by column generation
+    if its costs are distinct and no mass makes a forcing row, otherwise
+    (or where column generation cannot prove its plan unique) with the
+    dense LP and the presolve rule given there.  The closed form and an
+    accepted column generation are exact: the plan is the only optimum,
+    so it has the support the dense LP finds when that LP is solved
+    exactly, and it must pass the same certificate below.  Column
+    generation also works on the cost divided by its largest entry, so
+    HiGHS's absolute tolerances do not spoil tiny or huge costs; its
+    duals are scaled back, and at costs near 1e12 their rounding alone
+    can still fail the absolute thresholds below.  That HiGHS presolve makes
     no reduction but the forcing rows on an LP with at least three rows
     and columns is measured, not proven: on every LP tested
     (``TestPresolveRule`` and every seed-0 LP of the perfbench

@@ -15,9 +15,11 @@ from conftest import (
 )
 from qmspace import (
     Coupling,
+    FunkBall,
     Interpolation,
     MeasuredSpace,
     QuasiMetricSpace,
+    SampleSpec,
     SpaceError,
     ThetaBound,
     TransportProblem,
@@ -27,6 +29,8 @@ from qmspace import (
     geodesy_check,
     interpolate,
     kr_dual,
+    rescale,
+    sample,
     wasserstein,
 )
 from qmspace import transport
@@ -153,7 +157,10 @@ class TestHighsBindings:
         seen = []
         ours = transport.linprog
 
-        def record(c, *, A_eq, b_eq, presolve=True, basis=None):
+        def record(c, *, A_eq, b_eq, presolve=True, basis=None, **options):
+            # column generation's restricted LPs pass a tolerance; these
+            # tests are about the dense LP, so no input may reach it
+            assert not options
             seen.append((c, A_eq, b_eq, presolve, basis))
             return ours(c, A_eq=A_eq, b_eq=b_eq, presolve=presolve, basis=basis)
 
@@ -206,7 +213,7 @@ class TestHighsBindings:
     def test_dense(self, monkeypatch, rng):
         space = random_quasi_metric(rng, 30)
         mu, nu = rng.random(30), rng.random(30)
-        got, want, _ = self._lps(monkeypatch, space.dist ** 2,
+        got, want, _ = self._lps(monkeypatch, _tied(space.dist ** 2, mu, nu),
                                  mu / mu.sum(), nu / nu.sum())
         self._assert_same(got, want)
 
@@ -214,7 +221,7 @@ class TestHighsBindings:
         space = random_quasi_metric(rng, 30)
         mu = rng.random(30) * (np.arange(30) % 3 != 0)
         nu = rng.random(30) * (np.arange(30) % 4 != 1)
-        got, want, _ = self._lps(monkeypatch, space.dist,
+        got, want, _ = self._lps(monkeypatch, _tied(space.dist, mu, nu),
                                  mu / mu.sum(), nu / nu.sum())
         self._assert_same(got, want)
 
@@ -259,7 +266,8 @@ class TestHighsBindings:
         mu[rng.choice(n, nr, replace=False)] = rng.random(nr) + 0.1
         nu[rng.choice(n, nc, replace=False)] = rng.random(nc) + 0.1
         (_, got, _, _), _ = self._captured_lp(
-            monkeypatch, _not_monge(random_quasi_metric(rng, n).dist, mu, nu),
+            monkeypatch,
+            _tied(_not_monge(random_quasi_metric(rng, n).dist, mu, nu), mu, nu),
             mu / mu.sum(), nu / nu.sum())
         want = transport_constraints(nr, nc)
         assert got.shape == want.shape
@@ -314,6 +322,20 @@ def _not_monge(cost, mu, nu):
     cost = cost.copy()
     if len(i) == len(j) == 2:
         cost[i[0], j[0]] = cost[i[0], j[1]] + cost[i[1], j[0]]
+    return cost
+
+
+def _tied(cost, mu, nu):
+    """cost with its last positive cost between masses set to the one
+    before it, so that two of the LP's costs are equal and the LP skips
+    column generation.  The changed cell is in the LP's last row, so with
+    three rows or more it is outside the first 2 x 2 block that
+    ``_not_monge`` changes."""
+    i, j = np.flatnonzero(mu), np.flatnonzero(nu)
+    rows, cols = np.nonzero(cost[np.ix_(i, j)] > 0)
+    cost = cost.copy()
+    if len(rows) >= 2:
+        cost[i[rows[-1]], j[cols[-1]]] = cost[i[rows[-2]], j[cols[-2]]]
     return cost
 
 
@@ -381,6 +403,17 @@ def _marginal(draw, rng, n, shapes=MARGINAL_SHAPES):
     return m
 
 
+def _dense(cost, mu, nu):
+    """_solve_lp's answer, or its SpaceError message, with column
+    generation turned off: the path every such LP took before it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "_column_generation", lambda c, a, b: None)
+        try:
+            return transport._solve_lp(cost, mu, nu)
+        except SpaceError as exc:
+            return str(exc)
+
+
 def _presolved(cost, mu, nu):
     """_solve_lp's answer, or its SpaceError message, with every
     transport LP handed whole to HiGHS presolve."""
@@ -418,6 +451,8 @@ class TestPresolveRule:
     @settings(max_examples=150, deadline=None)
     def test_skipping_presolve_changes_nothing(self, inputs):
         with pytest.MonkeyPatch.context() as mp:
+            # the dense LP, also where column generation would answer
+            mp.setattr(transport, "_column_generation", lambda c, a, b: None)
             # the skewed inputs may fail _solve_lp's certificate; only the
             # LPs it hands to linprog matter here
             seen, _ = TestHighsBindings._captured_lps(mp, *inputs,
@@ -440,13 +475,10 @@ class TestPresolveRule:
     @settings(max_examples=150, deadline=None)
     def test_forcing_row_reduction_matches_presolve(self, inputs):
         # strictly Monge costs never reach HiGHS; TestMongeClosedForm
-        # covers them
+        # covers them.  Column generation is turned off (_dense), so the
+        # LPs it would answer are checked on the dense path too.
         assume(not _goes_closed_form(_kept(*inputs)[0]))
-        try:
-            got = transport._solve_lp(*inputs)
-        except SpaceError as exc:
-            got = str(exc)
-        _assert_bitwise(got, _presolved(*inputs))
+        _assert_bitwise(_dense(*inputs), _presolved(*inputs))
 
     def test_reduction_is_highs_presolved_lp(self, monkeypatch, rng):
         # forcing rows on both sides, and nu's last entry, which has no row
@@ -491,7 +523,7 @@ class TestPresolveRule:
         mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
         nu[-1] = 0.5e-7
         mu, nu = mu / mu.sum(), nu / nu.sum()
-        cost = random_quasi_metric(rng, n).dist
+        cost = _tied(random_quasi_metric(rng, n).dist, mu, nu)
         (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
             monkeypatch, cost, mu, nu)
         assert not presolve
@@ -660,6 +692,194 @@ class TestMongeClosedForm:
         # answer; the plan is still the same
         res = transport._transport_lp((1e6 * line.space.dist) ** 2, mu, nu)
         assert np.array_equal(res.x.reshape(line.n, line.n), coupling.matrix)
+
+
+def _counted_column_generation(mp):
+    """Wrap _column_generation in mp; the list it returns gets one entry
+    per call, True where the attempt was accepted."""
+    calls = []
+    ours = transport._column_generation
+
+    def counted(c, a, b):
+        res = ours(c, a, b)
+        calls.append(res is not None)
+        return res
+
+    mp.setattr(transport, "_column_generation", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def funk200():
+    """A 200-point Funk sample with dense random marginals."""
+    ms = sample(FunkBall(dim=2), SampleSpec(strategy="seeded-uniform",
+                                            count=200, seed=7, clip_radius=1.0))
+    rng = np.random.default_rng(7)
+    mu, nu = rng.random(200), rng.random(200)
+    return ms, mu / mu.sum(), nu / nu.sum()
+
+
+class TestColumnGeneration:
+    """LPs with distinct costs and no forcing row are solved over a
+    growing set of cells, and the answer is kept only where it is the one
+    optimal plan; every other LP takes the dense path, bit for bit."""
+
+    @given(transport_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_support_match_the_dense_solve(self, inputs):
+        c, a, b = _kept(*inputs)
+        assume(not _goes_closed_form(c)
+               and transport._tries_column_generation(c, a, b))
+        res = transport._column_generation(c, a, b)
+        assume(res is not None)
+        value, plan = res.fun, res.x.reshape(c.shape)
+        u = res.eqlin.marginals[:len(a)]
+        v = np.append(res.eqlin.marginals[len(a):], 0.0)
+        dense = transport.linprog(
+            c.ravel(), A_eq=transport._transport_csc(*c.shape),
+            b_eq=np.concatenate([a, b[:-1]]), presolve=False)
+        if not dense.success:
+            return
+        other = np.maximum(dense.x.reshape(c.shape), 0.0)
+        miss_a = np.abs(other.sum(axis=1) - a)
+        miss_b = np.abs(other.sum(axis=0) - b)
+        # weak duality: a plan that misses the marginals by miss_a and
+        # miss_b costs at least this much
+        bound = value - np.abs(u) @ miss_a - np.abs(v) @ miss_b
+        assert (c * other).sum() >= bound - 1e-12 * (abs(value) + c.max())
+        hu = dense.eqlin.marginals[:len(a)]
+        hv = np.append(dense.eqlin.marginals[len(a):], 0.0)
+        meets = (np.all(miss_a <= np.minimum(1e-14, 1e-9 * a))
+                 and np.all(miss_b <= np.minimum(1e-14, 1e-9 * b)))
+        if meets and (c - hu[:, None] - hv).min() >= -1e-12 * c.max():
+            # the dense solve meets every mass and certifies its plan to
+            # rounding, relative to the largest cost: the same optimum,
+            # and the same plan, since the optimum is unique
+            assert abs(value - dense.fun) <= 1e-12 * abs(value)
+            assert np.array_equal(plan > PLAN_TOL, other > PLAN_TOL)
+
+    @given(transport_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_plan_is_a_spanning_tree(self, inputs):
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+        c, a, b = _kept(*inputs)
+        assume(transport._tries_column_generation(c, a, b))
+        res = transport._column_generation(c, a, b)
+        assume(res is not None)
+        nr, nc = c.shape
+        cols, rows = res.basis
+        assert not (rows == 1).any()  # no row logical in the basis
+        i, j = np.divmod(np.flatnonzero(cols == 1), nc)
+        assert len(i) == nr + nc - 1
+        graph = coo_array((np.ones(len(i)), (i, nr + j)),
+                          shape=(nr + nc, nr + nc))
+        assert connected_components(graph, directed=False)[0] == 1
+        plan = res.x.reshape(nr, nc)
+        assert plan.min() >= 0 and not plan.ravel()[cols == 0].any()
+        assert np.abs(plan.sum(axis=1) - a).max() <= 1e-14
+        assert np.abs(plan.sum(axis=0) - b).max() <= 1e-14
+        # no tight cell off the tree: the plan is the one optimum
+        u = res.eqlin.marginals[:nr]
+        v = np.append(res.eqlin.marginals[nr:], 0.0)
+        reduced = (c - u[:, None] - v).ravel()
+        scale = np.abs(c).max()
+        assert np.abs(reduced[cols == 1]).max() <= 1e-12 * scale
+        assert reduced[cols == 0].min() > (transport._CG_UNIQUE - 1e-12) * scale
+        if c.size <= 12:  # the oracle enumerates C(c.size, nr + nc - 1) trees
+            want = polytope_vertex_minimum(c, a, b)
+            assert abs(res.fun - want) <= 1e-12 * abs(want)
+
+    @given(transport_inputs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_ties_and_forcing_rows_take_the_dense_path(self, inputs, tie):
+        cost, mu, nu = inputs
+        c, a, b = _kept(cost, mu, nu)
+        if tie:
+            cost = _tied(cost, mu, nu)
+        else:
+            assume((a <= transport.PRESOLVE_MASS).any()
+                   or (b[:-1] <= transport.PRESOLVE_MASS).any())
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _counted_column_generation(mp)
+            try:
+                got = transport._solve_lp(cost, mu, nu)
+            except SpaceError as exc:
+                got = str(exc)
+        assert calls == []
+        _assert_bitwise(got, _dense(cost, mu, nu))
+
+    @given(transport_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_a_refused_attempt_changes_nothing(self, inputs):
+        c, a, b = _kept(*inputs)
+        assume(not _goes_closed_form(c)
+               and transport._tries_column_generation(c, a, b))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "_CG_UNIQUE", np.inf)  # refuse every plan
+            calls = _counted_column_generation(mp)
+            try:
+                got = transport._solve_lp(*inputs)
+            except SpaceError as exc:
+                got = str(exc)
+        assert calls == [False]
+        _assert_bitwise(got, _dense(*inputs))
+
+    def test_an_attempt_that_keeps_adding_cells_is_bounded(self, monkeypatch,
+                                                           funk200):
+        # with every cell outside the LP let in, the 200 x 200 LP would
+        # take about 90 rounds to hold every cell; the attempt stops after
+        # _CG_ROUNDS restricted LPs, each at most nr + nc cells larger
+        # than the one before, and the dense LP answers
+        ms, mu, nu = funk200
+        n = ms.n
+        sizes = []
+        ours = transport.linprog
+
+        def record(c, **kwargs):
+            sizes.append((len(c), kwargs.get("tolerance") is not None))
+            return ours(c, **kwargs)
+
+        monkeypatch.setattr(transport, "_CG_ENTER", -np.inf)
+        monkeypatch.setattr(transport, "linprog", record)
+        calls = _counted_column_generation(monkeypatch)
+        got = transport._solve_lp(ms.space.dist, mu, nu)
+        assert calls == [False]
+        restricted = [k for k, cg in sizes if cg]
+        assert len(restricted) == transport._CG_ROUNDS
+        assert np.all(np.diff(restricted) <= 2 * n)
+        assert max(restricted) < 0.25 * n ** 2
+        assert sizes[transport._CG_ROUNDS:] == [(n ** 2, False)]
+        monkeypatch.setattr(transport, "linprog", ours)
+        _assert_bitwise(got, _dense(ms.space.dist, mu, nu))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_rescaled_funk_sample_scales_the_value(self, funk200, p):
+        # ROADMAP item 2: the dense solve gave W(k d)/k up to 7.1x too
+        # large at small k, without an error, because HiGHS's tolerances
+        # are absolute; column generation solves the cost divided by its
+        # largest entry.  k = 1e6 at p = 2 still fails the absolute
+        # certificate in _solve_lp.
+        ms, mu, nu = funk200
+        w = wasserstein(TransportProblem(ms.space, mu, nu, p))[0]
+        for k in (1e-6, 1e-3, 1e3):
+            w_k = wasserstein(TransportProblem(rescale(ms, k).space, mu, nu, p))[0]
+            assert abs(w_k / k - w) <= 1e-9 * w
+
+    def test_funk_sample_keeps_a_small_share_of_cells(self, monkeypatch,
+                                                      funk200):
+        # a silent fall back to the dense LP would hand HiGHS all n^2 cells
+        ms, mu, nu = funk200
+        sizes = []
+        ours = transport.linprog
+
+        def record(c, **kwargs):
+            sizes.append(len(c))
+            return ours(c, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", record)
+        wasserstein(TransportProblem(ms.space, mu, nu, 2.0))
+        assert sizes and max(sizes) < 0.1 * ms.n ** 2
 
 
 def test_kr_dual_matches_primal(rng):
