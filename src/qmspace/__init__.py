@@ -15,7 +15,6 @@ from .core import (
     MeasuredSpace,
     QuasiMetricSpace,
     ThetaBound,
-    ValidationReport,
     ball,
     capacity,
     covering_number,

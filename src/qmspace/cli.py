@@ -118,10 +118,9 @@ def cmd_validate(args) -> int:
     if args.max_listed < 0:
         raise core.SpaceError("--max-listed must be nonnegative")
     report = core.validate(_plain(load_space(args.file)), tol=args.tol)
-    # vars, not asdict: asdict deep-copies every violation before the cut
-    _emit({k: v[:args.max_listed] if isinstance(v, list) else v
-           for k, v in vars(report).items()}, args)
-    return 0 if report.valid else CHECK_FAILED
+    _emit({"valid": report.passed, "tol": report.tolerance,
+           **{k: v[:args.max_listed] for k, v in report.details.items()}}, args)
+    return 0 if report.passed else CHECK_FAILED
 
 
 def _as_measured(obj, what: str) -> core.MeasuredSpace:
@@ -255,8 +254,8 @@ def cmd_report(args) -> int:
     rep = core.validate(space, tol=args.tol)
     out = {
         "n": space.n,
-        "valid": rep.valid,
-        "triangle_violations": len(rep.triangle_violations),
+        "valid": rep.passed,
+        "triangle_violations": len(rep.details["triangle_violations"]),
         "reversibility": core.reversibility(space),
         "diameter": core.diameter(space),
     }
@@ -265,7 +264,7 @@ def cmd_report(args) -> int:
         if obj.basepoint is not None:
             out["basepoint"] = int(obj.basepoint)
     _emit(out, args)
-    return 0 if rep.valid else CHECK_FAILED
+    return 0 if rep.passed else CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,6 @@ __all__ = [
     "MeasuredSpace",
     "ThetaBound",
     "BallSpec",
-    "ValidationReport",
     "FunctionalReport",
     "DoublingReport",
     "validate",
@@ -336,27 +335,53 @@ class BallSpec:
             raise SpaceError(f"unknown orientation {self.orientation!r}")
 
 
-@dataclass
-class ValidationReport:
-    valid: bool
-    tol: float
-    triangle_violations: list = field(default_factory=list)
-    zero_offdiagonal: list = field(default_factory=list)
-    negative_entries: list = field(default_factory=list)
-    nonzero_diagonal: list = field(default_factory=list)
+#: the tolerance of each report kind (a report's name before "["): in
+#: sampling pitches (``_pitch``), as chain and grid quantization move these
+#: checks at first order in the pitch, or fixed; transport.ASYMMETRY_TOL
+#: and curvature.DCN_TOL are read from here
+_PITCH_TOLS = {"cd": 5.0, "brunn_minkowski": 5.0, "hwi": 5.0,
+               "poincare": 5.0, "lichnerowicz": 5.0,
+               "bishop_gromov": 3.0, "geodesy": 3.0, "diameter": 3.0}
+_FIXED_TOLS = {"log_sobolev": 0.10, "asymmetry_bound": 1e-9,
+               "dcn_membership": 1e-12}
+
+
+def _tolerance(kind: str, pitch: float = np.nan, scale: float = 1.0) -> float:
+    """A report kind's tolerance: its fixed value, or scale * pitch times
+    its multiple of the pitch (``scale`` is the bound, for diameter)."""
+    if kind in _FIXED_TOLS:
+        return _FIXED_TOLS[kind]
+    return scale * _PITCH_TOLS[kind] * pitch
 
 
 @dataclass
 class FunctionalReport:
-    """One checked inequality: lhs against rhs, its slack and tolerance."""
+    """One checked inequality: lhs against rhs, its slack and tolerance.
+
+    ``passed`` is set from the other fields by the one pass rule, which
+    keys on the report kind (the name before "[").
+    """
 
     name: str
     lhs: float
     rhs: float
     slack: float
-    passed: bool
+    passed: bool = field(init=False)
     tolerance: float
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        kind = self.name.partition("[")[0]
+        lhs, rhs, slack, tol = self.lhs, self.rhs, self.slack, self.tolerance
+        if kind == "log_sobolev":
+            passed = slack / max(abs(lhs), abs(rhs), 1e-30) >= -tol
+        elif kind in ("poincare", "lichnerowicz"):
+            passed = slack >= -tol * max(lhs, 1.0)
+        elif kind == "diameter":
+            passed = lhs <= rhs + tol
+        else:
+            passed = slack >= -tol
+        self.passed = bool(passed)
 
 
 @dataclass
@@ -367,46 +392,46 @@ class DoublingReport:
     finite: bool = True
 
 
-def validate(space: QuasiMetricSpace, tol: float = USER_TOL) -> ValidationReport:
+def validate(space: QuasiMetricSpace, tol: float = USER_TOL) -> FunctionalReport:
     """Check quasi-metric axioms on the full matrix.
 
     Lists every triangle violation d(i,k) > d(i,j) + d(j,k) + tol, every
-    zero off-diagonal entry, negative entry, and nonzero diagonal entry.
+    zero off-diagonal entry, negative entry, and nonzero diagonal entry
+    (|d(i,i)| > tol) in ``details``.  ``lhs`` is the least tolerance the
+    matrix validates at: the largest triangle shortfall or |d(i,i)|, and
+    inf when an off-diagonal entry is <= 0; it passes when lhs <= tol.
     ``tol`` must be finite and nonnegative.
     """
     if not 0 <= tol < np.inf:
         raise SpaceError(f"tolerance must be finite and nonnegative, got {tol}")
     d = space.dist
     n = space.n
-    report = ValidationReport(valid=True, tol=tol)
-
     diag = np.abs(np.diag(d))
-    for i in np.nonzero(diag > tol)[0]:
-        report.nonzero_diagonal.append(int(i))
     off = d + np.diag(np.full(n, np.inf))
-    for i, j in zip(*np.nonzero(off <= 0)):
-        if d[i, j] < 0:
-            report.negative_entries.append((int(i), int(j)))
-        else:
-            report.zero_offdiagonal.append((int(i), int(j)))
+    nonpositive = [(int(i), int(j)) for i, j in zip(*np.nonzero(off <= 0))]
+    details = {
+        "triangle_violations": [],
+        "zero_offdiagonal": [ij for ij in nonpositive if d[ij] == 0],
+        "negative_entries": [ij for ij in nonpositive if d[ij] < 0],
+        "nonzero_diagonal": [int(i) for i in np.nonzero(diag > tol)[0]],
+    }
 
     # Row i's largest shortfall is max_k (d[i,k] - min_j (d[i,j] + d[j,k])).
     # Rounded subtraction is monotone, so it exceeds tol exactly when some
     # triple of row i has slack > tol; only those rows are enumerated.
+    worst = float(diag.max(initial=0.0))
     through = np.empty_like(d)  # through[j,k] = d(i,j) + d(j,k)
     for i in range(n):
         np.add(d[i][:, None], d, out=through)
-        if (d[i] - through.min(axis=0)).max() > tol:
+        shortfall = (d[i] - through.min(axis=0)).max()
+        worst = max(worst, float(shortfall))
+        if shortfall > tol:
             for j, k in zip(*np.nonzero(d[i] - through > tol)):
-                report.triangle_violations.append((int(i), int(j), int(k)))
-
-    report.valid = not (
-        report.triangle_violations
-        or report.zero_offdiagonal
-        or report.negative_entries
-        or report.nonzero_diagonal
-    )
-    return report
+                details["triangle_violations"].append((int(i), int(j), int(k)))
+    if nonpositive:
+        worst = np.inf
+    return FunctionalReport(name="validate", lhs=worst, rhs=0.0,
+                            slack=0.0 - worst, tolerance=tol, details=details)
 
 
 def reversibility(space: QuasiMetricSpace, subset=None) -> float:

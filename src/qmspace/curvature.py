@@ -23,6 +23,7 @@ from .core import (
     SpaceError,
     _measure,
     _pitch,
+    _tolerance,
     ball,
     diameter,
 )
@@ -58,7 +59,7 @@ __all__ = [
 
 INF = math.inf
 #: grid tolerance of dcn_membership
-DCN_TOL = 1e-12
+DCN_TOL = _tolerance("dcn_membership")
 #: Gauss-Legendre orders of the curved model volume, and how far apart
 #: their two values may be, relative to max(1, volume)
 VOLUME_ORDERS = (64, 128)
@@ -194,7 +195,9 @@ def dcn_membership(U: Nonlinearity, N: float, r_grid) -> FunctionalReport:
 
     Requires U(0+) -> 0, convexity (p2 + p >= 0 on the grid, since
     U''(r) = (p2 + p)/r^2), the dimensional condition p2 + p/N >= 0,
-    and monotonicity of p(r)/r^(1-1/N).
+    and monotonicity of p(r)/r^(1-1/N).  The slack is the worse margin:
+    min(p2 + p/N), or -sqrt(DCN_TOL) times the largest drop of that ratio,
+    so the drop passes up to sqrt(DCN_TOL); ``details`` keeps both.
     """
     rs = np.asarray(sorted(r_grid), dtype=float)
     if np.any(rs <= 0):
@@ -214,10 +217,10 @@ def dcn_membership(U: Nonlinearity, N: float, r_grid) -> FunctionalReport:
     ratio = p / rs ** (1 - inv)
     mono_defect = float(np.max(np.maximum(ratio[:-1] - ratio[1:], 0.0)))
     worst = float(np.min(cond1))
-    passed = worst >= -DCN_TOL and mono_defect <= math.sqrt(DCN_TOL)
+    slack = min(worst, -math.sqrt(DCN_TOL) * mono_defect)
     return FunctionalReport(
         name=f"dcn_membership[{U.name},N={N}]",
-        lhs=-worst, rhs=0.0, slack=worst, passed=passed, tolerance=DCN_TOL,
+        lhs=-slack, rhs=0.0, slack=slack, tolerance=DCN_TOL,
         details={"min_p2_plus_p_over_N": worst, "monotonicity_defect": mono_defect},
     )
 
@@ -294,12 +297,12 @@ def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
     Builds the order-2 optimal coupling of (mu0, mu1), its chain plan,
     and the interpolants at each t; compares the plain functional of
     mu_t with the distorted combination of the endpoint functionals.
-    Slack tolerance is 5 * pitch (chain quantization perturbs mu_t at
-    first order in the sampling pitch).  A negative slack falsifies the
-    canonical plan only, not the space.
+    Slack tolerance: 5 pitches, in ``core._tolerance`` (chain quantization
+    perturbs mu_t at first order in the sampling pitch).  A negative slack
+    falsifies the canonical plan only, not the space.
     """
     nu = mspace.weights
-    tol = 5.0 * _pitch(mspace.space)
+    tol = _tolerance("cd", _pitch(mspace.space))
     space = mspace.space
 
     _, coupling = wasserstein(TransportProblem(space, mu0, mu1, 2.0))
@@ -320,13 +323,13 @@ def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
         slack = rhs - lhs if math.isfinite(rhs) and math.isfinite(lhs) else (
             INF if rhs == INF or lhs == -INF else -INF
         )
-        reports.append(FunctionalReport(
+        rep = FunctionalReport(
             name=f"cd[{U.name},K={K},N={N},t={t:g}]",
-            lhs=lhs, rhs=rhs, slack=slack,
-            passed=slack >= -tol, tolerance=tol,
-            details={"t": t, "certificate": "no certificate" if slack < -tol
-                     else "consistent"},
-        ))
+            lhs=lhs, rhs=rhs, slack=slack, tolerance=tol, details={"t": t},
+        )
+        rep.details["certificate"] = ("consistent" if rep.passed
+                                      else "no certificate")
+        reports.append(rep)
     return reports
 
 
@@ -337,6 +340,9 @@ def _barycenter_set(mspace: MeasuredSpace, A0, A1, t: float):
     A1 = sorted(set(int(i) for i in A1))
     if not A0 or not A1:
         raise SpaceError("barycenters need nonempty endpoint sets")
+    if min(A0[0], A1[0]) < 0 or max(A0[-1], A1[-1]) >= space.n:
+        raise SpaceError(
+            f"endpoint set index out of range: the space has {space.n} points")
     # uniform product coupling over the pairs gives every chain we need
     mu0 = np.zeros(space.n)
     mu1 = np.zeros(space.n)
@@ -366,7 +372,7 @@ def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
     m_0 = float(nu[A0].sum())
     m_1 = float(nu[A1].sum())
     pair_d = d[np.ix_(A0, A1)]
-    tol = 5.0 * _pitch(mspace.space)
+    tol = _tolerance("brunn_minkowski", _pitch(mspace.space))
     details = {"barycenter_set": bary, "nu_t": m_t, "nu_0": m_0, "nu_1": m_1}
 
     if N == INF:
@@ -378,36 +384,29 @@ def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
                + t * (1 - t) / 2.0
                * (km * float(pair_d.max()) ** 2 - kp * float(pair_d.min()) ** 2))
         slack = rhs - lhs
-        passed = slack >= -tol
-        return FunctionalReport(
-            name=f"brunn_minkowski[N=inf,K={K},t={t:g}]",
-            lhs=lhs, rhs=rhs, slack=slack, passed=passed,
-            tolerance=tol, details=details,
-        )
-
-    inf_b0 = min(
-        beta(DistortionParams(K, N, 1.0 - t), float(v)) for v in pair_d.ravel()
-    )
-    inf_b1 = min(
-        beta(DistortionParams(K, N, t), float(v)) for v in pair_d.ravel()
-    )
-    if inf_b0 == INF or inf_b1 == INF:
-        rhs = INF
     else:
-        rhs = ((1 - t) * inf_b0 ** (1.0 / N) * m_0 ** (1.0 / N)
-               + t * inf_b1 ** (1.0 / N) * m_1 ** (1.0 / N))
-    lhs = m_t ** (1.0 / N)
-    slack = lhs - rhs if math.isfinite(rhs) else -INF
-    details["distorted_rhs"] = rhs
-    if K >= 0:
-        simple = (1 - t) * m_0 ** (1.0 / N) + t * m_1 ** (1.0 / N)
-        details["simplified_rhs"] = simple
-        details["simplified_slack"] = lhs - simple
-        slack = lhs - simple  # the K >= 0 form is the operative check
+        inf_b0 = min(
+            beta(DistortionParams(K, N, 1.0 - t), float(v)) for v in pair_d.ravel()
+        )
+        inf_b1 = min(
+            beta(DistortionParams(K, N, t), float(v)) for v in pair_d.ravel()
+        )
+        if inf_b0 == INF or inf_b1 == INF:
+            rhs = INF
+        else:
+            rhs = ((1 - t) * inf_b0 ** (1.0 / N) * m_0 ** (1.0 / N)
+                   + t * inf_b1 ** (1.0 / N) * m_1 ** (1.0 / N))
+        lhs = m_t ** (1.0 / N)
+        slack = lhs - rhs if math.isfinite(rhs) else -INF
+        details["distorted_rhs"] = rhs
+        if K >= 0:  # the simplified form is the operative check
+            rhs = (1 - t) * m_0 ** (1.0 / N) + t * m_1 ** (1.0 / N)
+            slack = lhs - rhs
+            details["simplified_rhs"] = rhs
+            details["simplified_slack"] = slack
     return FunctionalReport(
         name=f"brunn_minkowski[N={N:g},K={K},t={t:g}]",
-        lhs=lhs, rhs=details.get("simplified_rhs", rhs),
-        slack=slack, passed=slack >= -tol, tolerance=tol, details=details,
+        lhs=lhs, rhs=rhs, slack=slack, tolerance=tol, details=details,
     )
 
 
@@ -460,9 +459,11 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     if N == INF or N <= 1:
         raise SpaceError("profile needs finite N > 1")
     radii = [float(r) for r in radii]
+    if not radii:
+        raise SpaceError("profile needs at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise SpaceError("radii must be increasing")
-    if radii and radii[0] < 0:
+    if radii[0] < 0:
         raise SpaceError("radius must be nonnegative")
     if K > 0:
         cutoff = math.pi * math.sqrt((N - 1) / K)
@@ -474,15 +475,14 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
         mass = float(nu[ball(mspace.space, BallSpec(x0, r, closed=True))].sum())
         denom = r ** N / N if K == 0 else _model_volume(K, N, r)
         profile.append(mass / denom if denom > 0 else INF)
-    tol = 3.0 * _pitch(mspace.space)
     worst = 0.0
     for a, b in zip(profile, profile[1:]):
         if a > 0:
             worst = max(worst, (b - a) / a)
     return FunctionalReport(
         name=f"bishop_gromov[K={K},N={N:g}]",
-        lhs=worst, rhs=0.0, slack=-worst, passed=worst <= tol,
-        tolerance=tol,
+        lhs=worst, rhs=0.0, slack=-worst,
+        tolerance=_tolerance("bishop_gromov", _pitch(mspace.space)),
         details={"radii": radii, "profile": profile,
                  "max_relative_increase": worst},
     )
@@ -532,10 +532,10 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
 
     Runs whichever checks the inputs allow: the diameter gate (K > 0,
     finite N), log-Sobolev and HWI for a density mu, Poincare and
-    Lichnerowicz for a test function f (centered automatically).  The
-    reference measure is normalized internally.  Gradients look at
+    Lichnerowicz for a finite test function f (centered automatically).
+    The reference measure is normalized internally.  Gradients look at
     neighbors within default_hop_radius (1.5 * pitch), the hops of the
-    transport chains; log-Sobolev passes within 10% relative slack.
+    transport chains; tolerances are in ``core._tolerance``.
     """
     ms = mspace.normalized()
     nu = ms.weights
@@ -547,15 +547,14 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
     if K > 0 and N != INF and N > 1:
         bound = math.pi * math.sqrt((N - 1) / K)
         diam = float(ms.space.dist[np.ix_(support, support)].max())
-        gate_tol = bound * 3.0 * pitch
-        reports.append(FunctionalReport(
+        rep = FunctionalReport(
             name=f"diameter[K={K},N={N:g}]",
             lhs=diam, rhs=bound, slack=bound - diam,
-            passed=diam <= bound * (1.0 + 3.0 * pitch),
-            tolerance=gate_tol,
-            details={"gate": diam > bound * (1.0 + 3.0 * pitch)},
-        ))
-        if diam > bound * (1.0 + 3.0 * pitch):
+            tolerance=_tolerance("diameter", pitch, bound),
+        )
+        rep.details["gate"] = not rep.passed
+        reports.append(rep)
+        if not rep.passed:
             return reports  # space violates the diameter bound; stop here
 
     if mu is not None:
@@ -569,7 +568,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
         reports.append(FunctionalReport(
             name=f"hwi[K={K}]",
             lhs=H, rhs=hwi_rhs, slack=hwi_rhs - H,
-            passed=hwi_rhs - H >= -5.0 * pitch, tolerance=5.0 * pitch,
+            tolerance=_tolerance("hwi", pitch),
             details={"w2": w2, "fisher": I_minus},
         ))
         if K > 0:
@@ -579,7 +578,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
             reports.append(FunctionalReport(
                 name=f"log_sobolev[K={K}]",
                 lhs=H, rhs=ls_rhs, slack=ls_rhs - H,
-                passed=rel_slack >= -0.10, tolerance=0.10,
+                tolerance=_tolerance("log_sobolev"),
                 details={"relative_slack": rel_slack, "fisher": I_minus},
             ))
 
@@ -587,6 +586,10 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
         if K <= 0:
             raise SpaceError("Poincare/Lichnerowicz checks require K > 0")
         f = np.asarray(f, dtype=float)
+        if f.shape != (ms.n,):
+            raise SpaceError(f"f must have length {ms.n}, got shape {f.shape}")
+        if not np.isfinite(f).all():
+            raise SpaceError("f must be finite")
         f = f - float(f @ nu)  # center against nu
         _, gm, _ = grad_norms(ms, f, neighbor_radius)
         var = float((f ** 2) @ nu)
@@ -595,8 +598,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
         reports.append(FunctionalReport(
             name=f"poincare[K={K}]",
             lhs=var, rhs=poincare_rhs, slack=poincare_rhs - var,
-            passed=poincare_rhs - var >= -5.0 * pitch * max(var, 1.0),
-            tolerance=5.0 * pitch,
+            tolerance=_tolerance("poincare", pitch),
             details={"energy": energy},
         ))
         const = 1.0 / K if N == INF else (N - 1) / (N * K)
@@ -604,8 +606,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
         reports.append(FunctionalReport(
             name=f"lichnerowicz[K={K},N={'inf' if N == INF else f'{N:g}'}]",
             lhs=var, rhs=lich_rhs, slack=lich_rhs - var,
-            passed=lich_rhs - var >= -5.0 * pitch * max(var, 1.0),
-            tolerance=5.0 * pitch,
+            tolerance=_tolerance("lichnerowicz", pitch),
             details={"constant": const},
         ))
     return reports

@@ -65,6 +65,7 @@ from .core import (
     SpaceError,
     _measure,
     _pitch,
+    _tolerance,
     dijkstra,
 )
 
@@ -105,7 +106,7 @@ _CG_HIGHS_TOL = 1e-10
 _CG_ROUNDS = 16
 CHAIN_TOL = 0.5
 #: slack allowed in asymmetry_bound_check
-ASYMMETRY_TOL = 1e-9
+ASYMMETRY_TOL = _tolerance("asymmetry_bound")
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,8 +701,7 @@ def asymmetry_bound_check(mspace: MeasuredSpace, mu, nu, p: float, q: float,
     slack = rhs - w_q_nu_mu
     return FunctionalReport(
         name=f"asymmetry_bound[p={p:g},q={q:g}]",
-        lhs=w_q_nu_mu, rhs=rhs, slack=slack, passed=slack >= -ASYMMETRY_TOL,
-        tolerance=ASYMMETRY_TOL,
+        lhs=w_q_nu_mu, rhs=rhs, slack=slack, tolerance=ASYMMETRY_TOL,
         details={
             "theta": theta,
             "w_p_star_mu": w_p_star_mu,
@@ -791,8 +791,8 @@ def geodesy_check(space: QuasiMetricSpace, interp: Interpolation,
 
     Compares W_p(mu_s, mu_t) with (t - s) * W_p(mu_0, mu_1) over all
     sampled time pairs; reports the worst absolute and relative residual.
-    Passes when the worst residual is at most 3 * pitch, the error chain
-    quantization can cause at this sampling.
+    Passes when the worst residual is at most 3 pitches (``core._tolerance``),
+    the error chain quantization can cause at this sampling.
     """
     ts = interp.ts
     ms = interp.measures
@@ -808,9 +808,8 @@ def geodesy_check(space: QuasiMetricSpace, interp: Interpolation,
         frac = (ts[b] - ts[a]) / span if span > 0 else 0.0
         worst = max(worst, abs(w_ab - frac * base))
     rel = worst / base if base > 0 else 0.0
-    tol = 3.0 * _pitch(space)
     return FunctionalReport(
-        name=f"geodesy[p={p:g}]",
-        lhs=worst, rhs=0.0, slack=-worst, passed=worst <= tol, tolerance=tol,
+        name=f"geodesy[p={p:g}]", lhs=worst, rhs=0.0, slack=-worst,
+        tolerance=_tolerance("geodesy", _pitch(space)),
         details={"abs_residual": worst, "rel_residual": rel, "w_endpoints": base},
     )

@@ -57,6 +57,12 @@ def random_quasi_metric(rng, n, asym=0.5):
     return QuasiMetricSpace(d)
 
 
+#: a 4-point matrix that breaks every axiom: a nonzero diagonal entry, a
+#: zero and a negative off-diagonal entry, and six triangle violations
+BAD4 = [[0.5, 0.0, 1.0, 5.0], [1.0, 0.0, -1.0, 1.0],
+        [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

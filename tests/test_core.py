@@ -43,32 +43,32 @@ class TestValidate:
     def test_valid_metric_passes(self):
         space = line_space([0.0, 1.0, 2.5])
         rep = validate(space)
-        assert rep.valid
-        assert rep.triangle_violations == []
+        assert rep.passed
+        assert rep.details["triangle_violations"] == []
 
     def test_triangle_violation_listed(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         rep = validate(QuasiMetricSpace(d), tol=1e-9)
-        assert not rep.valid
-        assert (0, 1, 2) in rep.triangle_violations
+        assert not rep.passed
+        assert (0, 1, 2) in rep.details["triangle_violations"]
 
     def test_negative_entry_listed(self):
         d = np.array([[0.0, -1.0], [1.0, 0.0]])
         rep = validate(QuasiMetricSpace(d))
-        assert not rep.valid
-        assert (0, 1) in rep.negative_entries
+        assert not rep.passed
+        assert (0, 1) in rep.details["negative_entries"]
 
     def test_zero_offdiagonal_listed(self):
         d = np.array([[0.0, 0.0], [1.0, 0.0]])
         rep = validate(QuasiMetricSpace(d))
-        assert not rep.valid
-        assert (0, 1) in rep.zero_offdiagonal
+        assert not rep.passed
+        assert (0, 1) in rep.details["zero_offdiagonal"]
 
     def test_nonzero_diagonal_listed(self):
         d = np.array([[0.5, 1.0], [1.0, 0.0]])
         rep = validate(QuasiMetricSpace(d))
-        assert not rep.valid
-        assert 0 in rep.nonzero_diagonal
+        assert not rep.passed
+        assert 0 in rep.details["nonzero_diagonal"]
 
     def test_nonfinite_raises(self):
         d = np.array([[0.0, np.inf], [1.0, 0.0]])
@@ -80,7 +80,7 @@ class TestValidate:
     def test_random_closures_always_valid(self, seed):
         r = np.random.default_rng(seed)
         space = random_quasi_metric(r, 6)
-        assert validate(space, tol=1e-9).valid
+        assert validate(space, tol=1e-9).passed
 
     def test_matches_brute_force_triple_scan(self, rng):
         # plant a violation, then compare against a plain triple loop
@@ -94,7 +94,7 @@ class TestValidate:
         for i, j, k in itertools.product(range(n), repeat=3):
             if d[i, k] > d[i, j] + d[j, k] + 1e-9:
                 expected.add((i, j, k))
-        assert set(rep.triangle_violations) == expected
+        assert set(rep.details["triangle_violations"]) == expected
         assert expected  # the plant actually broke something
 
     def test_certified_rows_keep_the_full_scan_list(self):
@@ -109,7 +109,7 @@ class TestValidate:
         d[3, 6] = np.nextafter(d[3, 6] + tol, np.inf)
         rep = validate(QuasiMetricSpace(d), tol=tol)
         expected = row_scan_triangle_violations(d, tol)
-        assert rep.triangle_violations == expected
+        assert rep.details["triangle_violations"] == expected
         rows = {i for i, _, _ in expected}
         assert rows == {0, 3, 4, n - 1}
         assert (3, 5, 6) in expected
@@ -119,7 +119,8 @@ class TestValidate:
             d = random_quasi_metric(rng, n).dist.copy()
             d[rng.integers(0, n, size=3), rng.integers(0, n, size=3)] *= 1.7
             rep = validate(QuasiMetricSpace(d), tol=1e-9)
-            assert rep.triangle_violations == row_scan_triangle_violations(d, 1e-9)
+            want = row_scan_triangle_violations(d, 1e-9)
+            assert rep.details["triangle_violations"] == want
 
     @pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -130,7 +131,31 @@ class TestValidate:
 
     def test_zero_tolerance_accepted(self):
         rep = validate(line_space([0.0, 1.0, 2.5]), tol=0.0)
-        assert rep.valid
+        assert rep.passed
+
+    def test_lhs_is_the_least_tolerance_that_validates(self, rng):
+        # a planted triangle shortfall and a nonzero diagonal entry: each
+        # sets lhs in turn, and the matrix validates exactly from lhs on
+        d = random_quasi_metric(rng, 6).dist.copy()
+        d[1, 4] = d.max() * 3
+        for diag in (0.0, 10.0):
+            d[2, 2] = diag
+            rep = validate(QuasiMetricSpace(d), tol=1e-9)
+            assert rep.name == "validate"
+            assert rep.lhs > 1e-9
+            assert (rep.rhs, rep.slack, rep.tolerance) == (0.0, -rep.lhs, 1e-9)
+            assert validate(QuasiMetricSpace(d), tol=rep.lhs).passed
+            assert not validate(QuasiMetricSpace(d),
+                                tol=np.nextafter(rep.lhs, 0.0)).passed
+        assert rep.lhs == 10.0
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0])
+    def test_lhs_is_inf_on_a_nonpositive_offdiagonal_entry(self, entry):
+        d = line_space([0.0, 1.0, 2.5]).dist.copy()
+        d[0, 1] = entry
+        rep = validate(QuasiMetricSpace(d), tol=1e-6)
+        assert rep.lhs == np.inf and rep.slack == -np.inf
+        assert not rep.passed
 
 
 class TestReversibility:
@@ -326,7 +351,7 @@ class TestDijkstra:
         for a, b in itertools.permutations([B, C, E], 2):
             d[a, b] = 1e-17
         space = QuasiMetricSpace(d)
-        assert validate(space).valid
+        assert validate(space).passed
         radius = default_hop_radius(space)
         dist, pred = dijkstra(d, radius, return_predecessors=True)
         want, want_pred = csgraph_chains(d, radius)

@@ -312,6 +312,16 @@ class TestBrunnMinkowski:
         with pytest.raises(SpaceError):
             brunn_minkowski_check(ms, [0], [ms.n - 1], 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("A0, A1", [([-1], [0]), ([0], [-1]),
+                                        ([15], [0]), ([0, 1], [3, 15])])
+    def test_endpoint_index_out_of_range_raises(self, A0, A1):
+        # [-1] was read as the last point and passed; [n] raised numpy's
+        # IndexError
+        ms = gaussian_line(1.0, 1.5, 0.2)
+        assert ms.n == 15
+        with pytest.raises(SpaceError, match="index out of range"):
+            brunn_minkowski_check(ms, A0, A1, 0.5, 1.0, INF)
+
 
 class TestBishopGromov:
     def test_flat_grid_profile_nonincreasing(self):
@@ -405,6 +415,13 @@ class TestBishopGromov:
                         epsabs=0.0, epsrel=1e-12, limit=200)[0]
             assert _model_volume(K, N, r) == pytest.approx(want, rel=1e-8)
 
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_no_radius_raises(self, K):
+        # K > 0 raised IndexError; K = 0 passed with an empty profile
+        ms = gaussian_line(1.0, 1.0, 0.1)
+        with pytest.raises(SpaceError, match="at least one radius"):
+            bishop_gromov_profile(ms, 0, K, 3.0, [])
+
     def test_radii_must_increase(self):
         ms = euclidean_grid_2d(0.25)
         with pytest.raises(SpaceError):
@@ -476,6 +493,24 @@ class TestInequalitySuite:
         ms = euclidean_grid_1d(0.2)
         with pytest.raises(SpaceError):
             functional_inequality_suite(ms, -1.0, INF, f=np.zeros(ms.n))
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda n: np.full(n, np.nan), "finite"),
+        (lambda n: np.r_[np.ones(n - 1), np.inf], "finite"),
+        (lambda n: np.ones(n - 1), "length"),
+        (lambda n: np.ones((n, 1)), "length"),
+    ])
+    def test_test_function_checked(self, bad, match):
+        # all-NaN f gave NaN Poincare and Lichnerowicz reports; a wrong
+        # length failed in numpy's matmul
+        ms = gaussian_line(1.0, 2.0, 0.2)
+        with pytest.raises(SpaceError, match=match):
+            functional_inequality_suite(ms, 1.0, INF, f=bad(ms.n))
+
+    def test_test_function_of_any_sign(self):
+        ms = gaussian_line(1.0, 2.0, 0.2)
+        f = -np.arange(ms.n, dtype=float)
+        assert functional_inequality_suite(ms, 1.0, INF, f=f)
 
     def test_constant_function_trivially_passes(self):
         ms = gaussian_line(1.0, 2.0, 0.2)

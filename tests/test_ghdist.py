@@ -406,7 +406,7 @@ class TestGhpUpper:
         Y = random_quasi_metric(rng, 4)
         res = iso_defect(X, Y)
         glued = ghdist._glue(X, Y, res.map, res.defect)
-        assert validate(glued, tol=1e-9).valid
+        assert validate(glued, tol=1e-9).passed
         # restriction to the two halves is untouched
         assert np.allclose(glued.dist[:4, :4], X.dist)
         assert np.allclose(glued.dist[4:, 4:], Y.dist)

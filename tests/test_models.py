@@ -178,7 +178,7 @@ class TestRandersTorus:
             assert randers_torus_distance(model, pts[i], pts[j]) == got[i, j]
         ms = sample(model, SampleSpec(strategy="grid", pitch=0.5))
         assert np.array_equal(ms.space.dist, got)
-        assert validate(ms.space).valid
+        assert validate(ms.space).passed
 
     def test_radial_shells_rejected(self):
         # a torus has no center to put shells around
@@ -194,7 +194,7 @@ class TestRandersTorus:
     def test_axioms_on_sample(self):
         ms = sample(RandersTorus(dim=2, b=0.5),
                     SampleSpec(strategy="grid", pitch=np.pi / 2))
-        assert validate(ms.space, tol=1e-9).valid
+        assert validate(ms.space, tol=1e-9).passed
 
     def test_bad_drift_rejected(self):
         with pytest.raises(SpaceError):
@@ -244,7 +244,7 @@ class TestRandersBall:
 
     def test_axioms_on_sample(self):
         ms = sample(self.model, SampleSpec(strategy="grid", pitch=0.2))
-        assert validate(ms.space, tol=1e-9).valid
+        assert validate(ms.space, tol=1e-9).passed
 
     def test_strong_drift_rejected(self):
         with pytest.raises(SpaceError):
@@ -330,7 +330,7 @@ class TestGaussianLine:
     def test_symmetric_euclidean(self):
         ms = gaussian_line(K=2.0, half_width=1.0, pitch=0.25)
         assert reversibility(ms.space) == pytest.approx(1.0)
-        assert validate(ms.space, tol=1e-9).valid
+        assert validate(ms.space, tol=1e-9).passed
 
     def test_basepoint_at_origin(self):
         ms = gaussian_line(K=1.0, half_width=2.0, pitch=0.5)
