@@ -93,6 +93,41 @@ def _fan_out(entries: np.ndarray, n: int, ptr: np.ndarray):
         yield part, np.repeat(part, count), hop, count
 
 
+def _hops(d: np.ndarray, radius: float):
+    """The hop graph at this radius: (tail, head) of every pair i != j with
+    0 < d[i, j] < radius, by tail, then head.  The one hop rule: chains
+    (``dijkstra``) and gradients (``curvature.grad_norms``) both use it."""
+    hops = (d > 0) & (d < radius)
+    np.fill_diagonal(hops, False)
+    return np.nonzero(hops)
+
+
+def _indices(indices, n: int, what: str) -> np.ndarray:
+    """``indices`` (one or an array) as point indices of an n-point space.
+
+    The one check of a point index: every index that enters the package
+    passes here, or raises SpaceError.  Each must be an integer value i
+    with 0 <= i < n, so -1 is not read as the last point, nor 1.5 as 1.
+    """
+    a = np.asarray(indices)
+    with np.errstate(invalid="ignore"):
+        ok = a.dtype.kind in "iuf" and bool(
+            ((a >= 0) & (a < n) & (a == np.round(a))).all())
+    if not ok:
+        raise SpaceError(f"{what} index out of range: a point index is an "
+                         f"integer i with 0 <= i < {n}")
+    return a.astype(np.intp)
+
+
+def _index_set(indices, n: int, what: str) -> np.ndarray:
+    """A nonempty set of point indices as a sorted array without repeats,
+    checked by ``_indices``."""
+    idx = np.unique(_indices(list(indices), n, what))
+    if not idx.size:
+        raise SpaceError(f"{what} is empty")
+    return idx
+
+
 def dijkstra(d: np.ndarray, radius: float, sources=None, limit=np.inf,
              return_predecessors: bool = False):
     """Shortest hop chains from each source, as Dijkstra's algorithm finds
@@ -130,20 +165,20 @@ def dijkstra(d: np.ndarray, radius: float, sources=None, limit=np.inf,
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    hops = (d > 0) & (d < radius)
-    np.fill_diagonal(hops, False)
+    tail, head = _hops(d, radius)
+    length = d[tail, head]
+    out = np.searchsorted(tail, np.arange(n + 1))
     all_pairs = sources is None and np.all(np.asarray(limit) == np.inf)
     if all_pairs and not return_predecessors:
         from scipy.sparse import csr_array  # 0.3 s: only when needed
         from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-        # csr_array drops only exact zeros (csgraph's dense input would
-        # also drop entries within 1e-8 of zero)
-        return csgraph_dijkstra(csr_array(np.where(hops, d, 0.0)), directed=True)
-    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.intp)
-    tail, head = np.nonzero(hops)  # by tail, then head
-    length, step = d[tail, head], head - tail
-    out = np.searchsorted(tail, np.arange(n + 1))
+        # the hop list as a sparse matrix (csgraph's dense input would
+        # drop entries within 1e-8 of zero)
+        return csgraph_dijkstra(csr_array((length, head, out), shape=(n, n)),
+                                directed=True)
+    sources = np.arange(n) if sources is None else _indices(sources, n, "source")
+    step = head - tail
     # an entry above its row's limit is never written: it starts just above
     cap = np.repeat(np.nextafter(np.broadcast_to(
         np.asarray(limit, dtype=float), sources.shape), np.inf), n)
@@ -250,7 +285,7 @@ class QuasiMetricSpace:
         return self.dist.shape[0]
 
     def subspace(self, indices) -> "QuasiMetricSpace":
-        idx = np.asarray(indices, dtype=int)
+        idx = _indices(indices, self.n, "subspace")
         coords = self.coords[idx] if self.coords is not None else None
         return QuasiMetricSpace(self.dist[np.ix_(idx, idx)], coords)
 
@@ -267,8 +302,10 @@ class MeasuredSpace:
     def __post_init__(self):
         object.__setattr__(self, "weights",
                            _measure(self.weights, self.space.n, "weights"))
-        if self.basepoint is not None and not 0 <= self.basepoint < self.space.n:
-            raise SpaceError(f"basepoint {self.basepoint} out of range")
+        if self.basepoint is not None:
+            object.__setattr__(self, "basepoint",
+                               int(_indices(self.basepoint, self.space.n,
+                                            "basepoint")))
 
     @property
     def n(self) -> int:
@@ -299,9 +336,9 @@ class ThetaBound:
             raise SpaceError("ThetaBound needs at least one breakpoint")
         radii = [r for r, _ in bps]
         values = [v for _, v in bps]
-        if radii != sorted(radii):
+        if np.isnan(radii).any() or radii != sorted(radii):
             raise SpaceError("breakpoint radii must be sorted")
-        if any(v < 1 for v in values):
+        if not all(v >= 1 for v in values):
             raise SpaceError("bound values must be >= 1")
         if any(b > a for a, b in zip(values[1:], values)):
             raise SpaceError("bound values must be nondecreasing")
@@ -329,7 +366,7 @@ class BallSpec:
     closed: bool = False
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise SpaceError("ball radius must be nonnegative")
         if self.orientation not in ("forward", "backward"):
             raise SpaceError(f"unknown orientation {self.orientation!r}")
@@ -440,12 +477,8 @@ def reversibility(space: QuasiMetricSpace, subset=None) -> float:
     Returns 1.0 for a singleton subset.  Pairs with d(x,y) = d(y,x),
     zero included, count as ratio 1.
     """
-    if subset is None:
-        idx = np.arange(space.n)
-    else:
-        idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=int)
-    if idx.size == 0:
-        raise SpaceError("reversibility of an empty subset is undefined")
+    idx = (np.arange(space.n) if subset is None
+           else _index_set(subset, space.n, "reversibility subset"))
     if idx.size == 1:
         return 1.0
     d = space.dist[np.ix_(idx, idx)]
@@ -463,12 +496,11 @@ def symmetrize(space: QuasiMetricSpace) -> QuasiMetricSpace:
 
 def ball(space: QuasiMetricSpace, spec: BallSpec) -> np.ndarray:
     """Point indices inside the specified forward/backward ball."""
-    if not 0 <= spec.center < space.n:
-        raise SpaceError(f"center {spec.center} out of range")
+    center = int(_indices(spec.center, space.n, "center"))
     if spec.orientation == "forward":
-        dists = space.dist[spec.center]
+        dists = space.dist[center]
     else:
-        dists = space.dist[:, spec.center]
+        dists = space.dist[:, center]
     if spec.closed:
         return np.nonzero(dists <= spec.radius)[0]
     return np.nonzero(dists < spec.radius)[0]
@@ -483,7 +515,7 @@ def diameter(space: QuasiMetricSpace) -> float:
 
 def path_length(space: QuasiMetricSpace, path) -> float:
     """Sum of consecutive-hop distances along a point-index sequence."""
-    p = list(path)
+    p = _indices(list(path), space.n, "path").tolist()
     if not p:
         raise SpaceError("empty path has no length")
     return float(sum(space.dist[a, b] for a, b in zip(p, p[1:])))
@@ -522,6 +554,7 @@ def midpoint_defect(space: QuasiMetricSpace, x: int, y: int) -> float:
     min over candidate z of max(|d(x,z) - d(x,y)/2|, |d(z,y) - d(x,y)/2|).
     A small defect certifies approximate geodesy at this sampling.
     """
+    x, y = int(_indices(x, space.n, "x")), int(_indices(y, space.n, "y"))
     half = space.dist[x, y] / 2.0
     dev = np.maximum(
         np.abs(space.dist[x] - half), np.abs(space.dist[:, y] - half)
@@ -547,7 +580,7 @@ def covering_number(space: QuasiMetricSpace, eps: float) -> int:
     Exact by subset enumeration for n <= EXACT_SEARCH_LIMIT, greedy
     upper bound above.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise SpaceError("eps must be positive")
     n = space.n
     masks = _ball_sets(space, eps)
@@ -580,7 +613,7 @@ def capacity(space: QuasiMetricSpace, eps: float) -> int:
     Exact for n <= EXACT_SEARCH_LIMIT via branch and bound, greedy lower
     bound above.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise SpaceError("eps must be positive")
     n = space.n
     masks = _ball_sets(space, eps / 2.0)
@@ -625,7 +658,7 @@ def doubling_constant(mspace: MeasuredSpace, radii) -> DoublingReport:
     best = 0.0
     witness = (0, float(radii[0]))
     for r in radii:
-        if r <= 0:
+        if not r > 0:
             raise SpaceError("radii must be positive")
         small = (d <= r) @ w
         big = (d <= 2 * r) @ w

@@ -21,6 +21,8 @@ from .core import (
     FunctionalReport,
     MeasuredSpace,
     SpaceError,
+    _hops,
+    _index_set,
     _measure,
     _pitch,
     _tolerance,
@@ -30,7 +32,6 @@ from .core import (
 from .transport import (
     Coupling,
     TransportProblem,
-    _chain_vertices,
     default_hop_radius,
     dynamical_plan,
     interpolate,
@@ -334,25 +335,18 @@ def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
 
 
 def _barycenter_set(mspace: MeasuredSpace, A0, A1, t: float):
-    """Discrete t-barycenters: chain e_t points over all endpoint pairs."""
+    """Discrete t-barycenters: the support of mu_t along the chains of the
+    uniform product coupling, which joins every pair of A0 x A1."""
     space = mspace.space
-    A0 = sorted(set(int(i) for i in A0))
-    A1 = sorted(set(int(i) for i in A1))
-    if not A0 or not A1:
-        raise SpaceError("barycenters need nonempty endpoint sets")
-    if min(A0[0], A1[0]) < 0 or max(A0[-1], A1[-1]) >= space.n:
-        raise SpaceError(
-            f"endpoint set index out of range: the space has {space.n} points")
-    # uniform product coupling over the pairs gives every chain we need
+    A0 = _index_set(A0, space.n, "endpoint set")
+    A1 = _index_set(A1, space.n, "endpoint set")
     mu0 = np.zeros(space.n)
     mu1 = np.zeros(space.n)
     mu0[A0] = 1.0 / len(A0)
     mu1[A1] = 1.0 / len(A1)
-    pi = np.outer(mu0, mu1)
-    plan = dynamical_plan(space, Coupling(pi, mu0, mu1))
-    points = {_chain_vertices(space.dist, chain, [t])[0]
-              for chain in plan.chains.values()}
-    return sorted(points), A0, A1
+    plan = dynamical_plan(space, Coupling(np.outer(mu0, mu1), mu0, mu1))
+    mu_t, = interpolate(plan, [t]).measures
+    return np.flatnonzero(mu_t).tolist(), A0, A1
 
 
 def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
@@ -461,9 +455,9 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     radii = [float(r) for r in radii]
     if not radii:
         raise SpaceError("profile needs at least one radius")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
+    if not all(b > a for a, b in zip(radii, radii[1:])):
         raise SpaceError("radii must be increasing")
-    if radii[0] < 0:
+    if not radii[0] >= 0:
         raise SpaceError("radius must be nonnegative")
     if K > 0:
         cutoff = math.pi * math.sqrt((N - 1) / K)
@@ -491,29 +485,22 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
 def grad_norms(mspace: MeasuredSpace, f, neighbor_radius: float):
     """Discrete gradient norms: full and descending-slope versions.
 
-    For each point, the max over forward neighbors within the radius of
-    |f(y)-f(x)|/d(x,y), and of the negative part only.  Points with no
-    neighbor at this radius get zero and are flagged.
+    For each point x, the max over its hops x -> y at this radius
+    (``core._hops``) of |f(y)-f(x)|/d(x,y), and of the negative part only.
+    Points with no hop get zero and are flagged.
     """
     f = np.asarray(f, dtype=float)
     d = mspace.space.dist
-    n = mspace.n
-    grad = np.zeros(n)
-    grad_minus = np.zeros(n)
-    isolated = []
-    any_neighbor = False
-    for x in range(n):
-        mask = (d[x] < neighbor_radius) & (d[x] > 0)
-        if not mask.any():
-            isolated.append(x)
-            continue
-        any_neighbor = True
-        quot = (f[mask] - f[x]) / d[x][mask]
-        grad[x] = float(np.abs(quot).max())
-        grad_minus[x] = float(np.maximum(-quot, 0.0).max())
-    if not any_neighbor:
+    tail, head = _hops(d, neighbor_radius)
+    if not tail.size:
         raise SpaceError("no point has a neighbor at this radius")
-    return grad, grad_minus, isolated
+    quot = (f[head] - f[tail]) / d[tail, head]
+    first = np.flatnonzero(np.diff(tail, prepend=-1))  # each tail's first hop
+    grad = np.zeros(mspace.n)
+    grad_minus = np.zeros(mspace.n)
+    grad[tail[first]] = np.maximum.reduceat(np.abs(quot), first)
+    grad_minus[tail[first]] = np.maximum.reduceat(np.maximum(-quot, 0.0), first)
+    return grad, grad_minus, np.setdiff1d(np.arange(mspace.n), tail).tolist()
 
 
 def fisher_information(mspace: MeasuredSpace, rho,

@@ -27,6 +27,8 @@ from .core import (
     QuasiMetricSpace,
     SpaceError,
     _OnFirstCall,
+    _index_set,
+    _indices,
     _measure,
     reversibility,
 )
@@ -69,11 +71,9 @@ class PointMap:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
+        a = _indices(self.assignment, self.target.n, "assignment target")
         if a.shape != (self.source.n,):
             raise SpaceError("assignment must map every source point")
-        if a.size and (a.min() < 0 or a.max() >= self.target.n):
-            raise SpaceError("assignment target index out of range")
         object.__setattr__(self, "assignment", a)
 
 
@@ -108,13 +108,8 @@ def hausdorff(space: QuasiMetricSpace, A, B) -> float:
     b with d(b, a) < eps, and symmetrically; the returned value is the
     infimum of admissible eps.
     """
-    A = np.asarray(sorted(set(int(i) for i in A)), dtype=int)
-    B = np.asarray(sorted(set(int(i) for i in B)), dtype=int)
-    if A.size == 0 or B.size == 0:
-        raise SpaceError("Hausdorff distance needs nonempty sets")
-    if min(A[0], B[0]) < 0 or max(A[-1], B[-1]) >= space.n:
-        raise SpaceError(
-            f"Hausdorff set index out of range: the space has {space.n} points")
+    A = _index_set(A, space.n, "Hausdorff set")
+    B = _index_set(B, space.n, "Hausdorff set")
     d = space.dist
     a_in_b = d[np.ix_(B, A)].min(axis=0).max()  # min over b of d(b, a)
     b_in_a = d[np.ix_(A, B)].min(axis=0).max()  # min over a of d(a, b)
@@ -246,7 +241,7 @@ def iso_defect(X: QuasiMetricSpace, Y: QuasiMetricSpace,
 def _check_theta(theta: float, X: QuasiMetricSpace, Y: QuasiMetricSpace):
     """Raise unless theta dominates both reversibilities."""
     lam = max(reversibility(X), reversibility(Y))
-    if theta < lam - 1e-12:
+    if not theta >= lam - 1e-12:
         raise SpaceError(
             f"theta={theta} below reversibility {lam}: no admissible gluing"
         )

@@ -72,9 +72,7 @@ def _space_from_dict(obj: dict):
         coords = np.asarray(coords, dtype=float)
     space = QuasiMetricSpace(dist, coords=coords)
     if "weights" in obj:
-        bp = obj.get("basepoint")
-        return MeasuredSpace(space, obj["weights"],
-                             basepoint=None if bp is None else int(bp))
+        return MeasuredSpace(space, obj["weights"], obj.get("basepoint"))
     return space
 
 

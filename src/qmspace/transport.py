@@ -6,41 +6,13 @@ programs with a post-solve complementary-slackness certificate; order-1
 problems also expose the Kantorovich-Rubinstein dual over asymmetric
 1-Lipschitz potentials f(y) - f(x) <= d(x, y).
 
-Every LP goes through ``_solve_lp``.  A strictly Monge cost (every
-adjacent 2 x 2 block has c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j],
-as |x - y|^p for p > 1 has on sorted points of a line) is solved in
-closed form: the north-west-corner plan is then the one optimal plan
-(Hoffman 1963), and the duals of its staircase prove it, so HiGHS is not
-needed.
-
-An LP with at least three rows and columns, no forcing row (below) and
-no two equal positive costs is solved next by column generation, in the
-spirit of the shortlist method (Gottschlich and Schuhmacher 2014): HiGHS
-solves it over a few cheap cells per row and column, on the cost divided
-by its largest entry, and the cells that price out negative over all
-nr x nc join until none does (at most 16 rounds).  The answer is kept
-only if its basis is a spanning tree and every cell off the tree has a
-reduced cost above 1e-9 of the largest cost.  Its plan is then the one
-optimal plan, and so the plan the dense LP finds whenever that LP is
-solved exactly; the value and the plan agree with the dense solve to
-rounding.  Funk and other generic asymmetric samples have such costs.
-An LP with tied costs (the grids and other symmetric samples, where the
-optimal face is often large and the plan would depend on the pivots,
-ROADMAP item 3) or with a forcing row (whose marginal drift, ROADMAP
-item 2, stays as it is), and any attempt that does not prove its plan
-unique, goes to the dense LP below, bit for bit as before.
-
-The dense LP goes through ``linprog``, which hands the model to the
-HiGHS bindings that scipy ships, with the options that
-``scipy.optimize.linprog(method="highs")`` sets, and so takes the same
-pivots and returns the same plan, duals and value as that call with
-presolve on.  ``_solve_lp`` runs HiGHS presolve only on transport LPs
-with at most two rows or columns.  On the others, the one reduction
-presolve makes is the forcing row of a mass at or below HiGHS's
-feasibility tolerance, and numpy does it: ``_transport_lp`` solves the
-LP without those rows, completes the basis as HiGHS's postsolve does,
-and hands it to the full LP, so the answer is bitwise that of the
-presolve path (HiGHS 1.12, every LP measured).  The
+Every LP goes through ``_solve_lp``, which drops the points without
+mass, hands the rest to ``_transport_lp`` and certifies the answer.
+``_transport_lp``'s docstring gives the routing rule: a closed form for
+strictly Monge costs, column generation for distinct costs without
+forcing rows, and otherwise the dense LP through ``linprog``, which hands
+the model to the HiGHS bindings that scipy ships, with the options that
+``scipy.optimize.linprog(method="highs")`` sets.  The
 constraint matrix is built with numpy, and the bindings' extension module
 is loaded from its file in scipy's ``optimize/_highspy`` directory, so a
 solve imports neither ``scipy.optimize`` nor ``scipy.sparse``.
@@ -341,7 +313,12 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     dropped column is nonbasic at 0.  The full LP, presolve off, starts
     from that basis, as HiGHS's own solve after postsolve does: it
     returns bitwise the x, row duals, objective and model status of the
-    presolve path, with the same total ``nit``.
+    presolve path, with the same total ``nit``.  That presolve makes no
+    other reduction on these LPs is measured, not proven: on every LP
+    tested (``TestPresolveRule`` and every seed-0 LP of the perfbench
+    workloads, HiGHS 1.12) the numpy reduction was HiGHS's presolved LP.
+    ``TestPresolveRule`` guards this across HiGHS upgrades, and
+    ``_solve_lp``'s certificate checks the answer either way.
 
     nu's last entry has no row, so it never makes a forcing row.  An LP
     with at most two rows or columns, before or after the reduction,
@@ -353,9 +330,10 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     reaches HiGHS: ``_monge_lp`` solves it in closed form, whatever the
     masses.  Otherwise an LP with at least three rows and columns, no
     forcing row and no two equal positive costs
-    (``_tries_column_generation``) goes to ``_column_generation`` first,
-    and its answer is returned if it proves its plan to be the only
-    optimum.  Column generation is not
+    (``_tries_column_generation``) goes to ``_column_generation`` first
+    (in the spirit of the shortlist method, Gottschlich and Schuhmacher
+    2014), and its answer is returned if it proves its plan to be the
+    only optimum.  Column generation is not
     tried with forcing rows, so that their answers stay those of the
     presolve path, nor with tied costs: there the optimum is rarely
     unique, and an attempt would be wasted (cd-check's grid LPs).
@@ -594,25 +572,11 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     psi[j] = min over rows with mass of cost[i, j] - u[i].
 
     Points without mass are dropped, and ``_transport_lp`` solves the
-    rest: in closed form if the kept cost is strictly Monge (dropping
-    rows and columns keeps a Monge matrix Monge), by column generation
-    if its costs are distinct and no mass makes a forcing row, otherwise
-    (or where column generation cannot prove its plan unique) with the
-    dense LP and the presolve rule given there.  The closed form and an
-    accepted column generation are exact: the plan is the only optimum,
-    so it has the support the dense LP finds when that LP is solved
-    exactly, and it must pass the same certificate below.  Column
-    generation also works on the cost divided by its largest entry, so
-    HiGHS's absolute tolerances do not spoil tiny or huge costs; its
-    duals are scaled back, and at costs near 1e12 their rounding alone
-    can still fail the absolute thresholds below.  That HiGHS presolve makes
-    no reduction but the forcing rows on an LP with at least three rows
-    and columns is measured, not proven: on every LP tested
-    (``TestPresolveRule`` and every seed-0 LP of the perfbench
-    workloads, HiGHS 1.12), the numpy reduction was HiGHS's presolved LP
-    and gave bitwise the answer of the presolve path.  The tests in
-    ``TestPresolveRule`` guard this across HiGHS upgrades; the
-    certificate below checks the answer either way.
+    rest by the routing rule its docstring gives (dropping rows and
+    columns keeps a Monge matrix Monge).  Every route must pass the same
+    certificate below.  Column generation's duals are scaled back from
+    the cost divided by its largest entry, and at costs near 1e12 their
+    rounding alone can still fail the absolute thresholds below.
     """
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from qmspace import ghdist
+from qmspace import ghdist, transport
 
 
 def polytope_vertex_minimum(cost, mu, nu):
@@ -265,3 +265,38 @@ def torus_translate_scan(pts, b, window):
         np.minimum(best, val, out=best)
     np.fill_diagonal(best, 0.0)
     return best
+
+
+def row_loop_grad_norms(mspace, f, neighbor_radius):
+    """``curvature.grad_norms`` as it was before it used the hop list: one
+    row at a time, over the y with 0 < d(x, y) < radius."""
+    f = np.asarray(f, dtype=float)
+    d = mspace.space.dist
+    n = mspace.n
+    grad = np.zeros(n)
+    grad_minus = np.zeros(n)
+    isolated = []
+    for x in range(n):
+        mask = (d[x] < neighbor_radius) & (d[x] > 0)
+        if not mask.any():
+            isolated.append(x)
+            continue
+        quot = (f[mask] - f[x]) / d[x][mask]
+        grad[x] = float(np.abs(quot).max())
+        grad_minus[x] = float(np.maximum(-quot, 0.0).max())
+    return grad, grad_minus, isolated
+
+
+def chain_loop_barycenters(mspace, A0, A1, t):
+    """``curvature._barycenter_set``'s points as they were before it used
+    ``interpolate``: the e_t vertex of each chain of the uniform product
+    coupling, read off the chain one at a time."""
+    space = mspace.space
+    mu0 = np.zeros(space.n)
+    mu1 = np.zeros(space.n)
+    mu0[A0] = 1.0 / len(A0)
+    mu1[A1] = 1.0 / len(A1)
+    plan = transport.dynamical_plan(
+        space, transport.Coupling(np.outer(mu0, mu1), mu0, mu1))
+    return sorted({transport._chain_vertices(space.dist, chain, [t])[0]
+                   for chain in plan.chains.values()})

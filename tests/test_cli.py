@@ -259,6 +259,10 @@ class TestDist:
     def test_missing_theta_exit_2(self, funk_file):
         assert main(["dist", "gh", str(funk_file), str(funk_file)]) == 2
 
+    def test_nan_theta_exit_2(self, funk_file):
+        assert main(["dist", "gh", str(funk_file), str(funk_file),
+                     "--theta", "nan"]) == 2
+
     def test_missing_second_file_exit_2(self, funk_file):
         assert main(["dist", "gh", str(funk_file), "--theta", "5"]) == 2
 

@@ -16,11 +16,13 @@ from qmspace import (
     SpaceError,
     ThetaBound,
     ball,
+    bishop_gromov_profile,
     capacity,
     covering_number,
     diameter,
     doubling_constant,
     gaussian_line,
+    gh_bracket,
     induced_length_metric,
     midpoint_defect,
     path_length,
@@ -559,3 +561,52 @@ class TestConstruction:
         sub = space.subspace([0, 2, 4])
         assert sub.n == 3
         assert sub.dist[0, 1] == space.dist[0, 2]
+
+
+#: a space on which each entry point below misread a bad index (-1 as
+#: point 2, 1.5 as point 1) or raised numpy's IndexError (3)
+S3 = QuasiMetricSpace([[0.0, 1.0, 5.0], [2.0, 0.0, 1.0], [1.0, 3.0, 0.0]])
+
+#: each entry point of ``core`` that takes point indices, with one index i
+#: among valid ones (hausdorff, PointMap and brunn_minkowski_check have
+#: theirs in test_ghdist and test_curvature)
+INDEX_ENTRY_POINTS = {
+    "reversibility": lambda i: reversibility(S3, [i, 0]),
+    "path_length": lambda i: path_length(S3, [0, i]),
+    "midpoint_defect": lambda i: midpoint_defect(S3, i, 0),
+    "subspace": lambda i: S3.subspace([0, i]),
+    "ball": lambda i: ball(S3, BallSpec(i, 1.0)),
+    "basepoint": lambda i: MeasuredSpace(S3, np.ones(3), basepoint=i),
+    "dijkstra": lambda i: dijkstra(S3.dist, 2.0, [i]),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.5])
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+def test_bad_point_index_raises(entry, bad):
+    with pytest.raises(SpaceError, match="index out of range"):
+        INDEX_ENTRY_POINTS[entry](bad)
+
+
+NAN = float("nan")
+
+#: each guard on a parameter, called with NaN, which passed ``x <= 0``
+#: and ``x < lo`` guards
+NAN_GUARDS = {
+    "covering_number": lambda: covering_number(S3, NAN),
+    "capacity": lambda: capacity(S3, NAN),
+    "ball_radius": lambda: ball(S3, BallSpec(0, NAN)),
+    "doubling_constant": lambda: doubling_constant(
+        MeasuredSpace(S3, np.ones(3)), [NAN]),
+    "bishop_gromov_profile": lambda: bishop_gromov_profile(
+        gaussian_line(1.0, 1.5, 0.2), 4, 0.0, 2.0, [NAN, 0.5]),
+    "theta_bound_value": lambda: ThetaBound(((1.0, NAN), (2.0, 3.0))),
+    "theta_bound_radius": lambda: ThetaBound(((NAN, 2.0),)),
+    "gh_bracket_theta": lambda: gh_bracket(S3, S3, theta=NAN),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(NAN_GUARDS))
+def test_nan_parameter_raises(guard):
+    with pytest.raises(SpaceError):
+        NAN_GUARDS[guard]()

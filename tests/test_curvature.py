@@ -1,9 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import euclidean_grid_1d, euclidean_grid_2d, smooth_density_pair
+from conftest import (
+    euclidean_grid_1d,
+    euclidean_grid_2d,
+    random_quasi_metric,
+    smooth_density_pair,
+)
+from oracles import chain_loop_barycenters, row_loop_grad_norms
 from qmspace import (
     Coupling,
     DistortionParams,
@@ -29,9 +38,24 @@ from qmspace import (
     wasserstein,
 )
 from qmspace import curvature
-from qmspace.curvature import _model_volume
+from qmspace.curvature import _barycenter_set, _model_volume
+from qmspace.transport import default_hop_radius
 
 INF = math.inf
+
+
+@st.composite
+def measured_spaces(draw):
+    """Floyd-Warshall-closed random quasi-metrics, flat grids and Gaussian
+    lines, uniformly weighted."""
+    kind = draw(st.sampled_from(["random", "grid", "line"]))
+    if kind == "random":
+        space = random_quasi_metric(np.random.default_rng(draw(st.integers(0, 999))),
+                                    draw(st.integers(2, 12)))
+        return MeasuredSpace(space, np.full(space.n, 1.0 / space.n))
+    if kind == "grid":
+        return euclidean_grid_2d(draw(st.sampled_from([0.125, 0.2, 0.25, 0.5])))
+    return gaussian_line(1.0, draw(st.floats(0.5, 3.0)), draw(st.floats(0.1, 0.5)))
 
 
 class TestComparisonProfile:
@@ -313,14 +337,38 @@ class TestBrunnMinkowski:
             brunn_minkowski_check(ms, [0], [ms.n - 1], 0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("A0, A1", [([-1], [0]), ([0], [-1]),
-                                        ([15], [0]), ([0, 1], [3, 15])])
+                                        ([15], [0]), ([0, 1], [3, 15]),
+                                        ([1.5], [0])])
     def test_endpoint_index_out_of_range_raises(self, A0, A1):
         # [-1] was read as the last point and passed; [n] raised numpy's
-        # IndexError
+        # IndexError; [1.5] was read as [1]
         ms = gaussian_line(1.0, 1.5, 0.2)
         assert ms.n == 15
         with pytest.raises(SpaceError, match="index out of range"):
             brunn_minkowski_check(ms, A0, A1, 0.5, 1.0, INF)
+
+    def test_empty_endpoint_set_raises(self):
+        ms = gaussian_line(1.0, 1.5, 0.2)
+        with pytest.raises(SpaceError, match="empty"):
+            brunn_minkowski_check(ms, [0], [], 0.5, 1.0, INF)
+
+    @given(measured_spaces(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_barycenters_match_chain_loop(self, ms, data):
+        # the support of mu_t is bitwise the set of chain e_t points
+        index = st.integers(0, ms.n - 1)
+        A0 = data.draw(st.lists(index, min_size=1, max_size=6))
+        A1 = data.draw(st.lists(index, min_size=1, max_size=6))
+        t = data.draw(st.floats(0.01, 0.99))
+        try:
+            want = chain_loop_barycenters(ms, sorted(set(A0)), sorted(set(A1)), t)
+        except SpaceError as exc:  # no chain within tolerance
+            with pytest.raises(SpaceError, match=re.escape(str(exc))):
+                _barycenter_set(ms, A0, A1, t)
+            return
+        got, B0, B1 = _barycenter_set(ms, A0, A1, t)
+        assert got == want
+        assert list(B0) == sorted(set(A0)) and list(B1) == sorted(set(A1))
 
 
 class TestBishopGromov:
@@ -449,6 +497,30 @@ class TestGradients:
         grad, gm, isolated = grad_norms(ms, np.array([0.0, 1.0, 2.0]), 2.0)
         assert isolated == [2]
         assert grad[2] == 0.0
+
+    def test_positive_diagonal_is_not_a_hop(self):
+        # i -> i is no hop, so point 2, whose only entry below the radius
+        # is d(2, 2), is isolated
+        d = np.array([[0.5, 1.0, 9.0], [1.0, 0.0, 9.0], [9.0, 9.0, 0.5]])
+        ms = MeasuredSpace(QuasiMetricSpace(d), np.full(3, 1 / 3))
+        assert grad_norms(ms, np.array([0.0, 1.0, 2.0]), 2.0)[2] == [2]
+
+    @given(measured_spaces(), st.floats(0.4, 2.0), st.integers(0, 999), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_loop(self, ms, scale, seed, data):
+        # a radius at a point's nearest-neighbor distance isolates it
+        nearest = (ms.space.dist + np.diag(np.full(ms.n, INF))).min(axis=1)
+        radius = data.draw(st.sampled_from([scale * default_hop_radius(ms.space),
+                                            *nearest]))
+        f = np.random.default_rng(seed).normal(size=ms.n)
+        grad, gm, isolated = row_loop_grad_norms(ms, f, radius)
+        if len(isolated) == ms.n:
+            with pytest.raises(SpaceError, match="no point has a neighbor"):
+                grad_norms(ms, f, radius)
+            return
+        got = grad_norms(ms, f, radius)
+        assert np.array_equal(got[0], grad) and np.array_equal(got[1], gm)
+        assert got[2] == isolated
 
     def test_all_isolated_raises(self):
         d = np.array([[0.0, 9.0], [9.0, 0.0]])

@@ -53,8 +53,9 @@ def test_pointmap_validation():
     X = QuasiMetricSpace(np.zeros((2, 2)))
     with pytest.raises(SpaceError):
         PointMap(X, X, np.array([0]))
-    with pytest.raises(SpaceError):
-        PointMap(X, X, np.array([0, 5]))
+    for bad in ([0, 5], [0, -1], [0, 1.5]):
+        with pytest.raises(SpaceError, match="index out of range"):
+            PointMap(X, X, np.array(bad))
 
 
 class TestHausdorff:
@@ -76,7 +77,8 @@ class TestHausdorff:
         with pytest.raises(SpaceError):
             hausdorff(space, [], [0])
 
-    @pytest.mark.parametrize("A, B", [([0, 2], [1]), ([-1], [0]), ([0], [1, -1])])
+    @pytest.mark.parametrize("A, B", [([0, 2], [1]), ([-1], [0]), ([0], [1, -1]),
+                                      ([1.5], [0])])
     def test_index_out_of_range_raises(self, A, B):
         space = QuasiMetricSpace(np.zeros((2, 2)))
         with pytest.raises(SpaceError, match="out of range"):
