@@ -70,8 +70,11 @@ DUALITY_TOL = 1e-7
 #: pricing round can add and which fail the acceptance test.  HiGHS
 #: rejects 1e-12 (status kError) and takes 1e-10.  An attempt that has
 #: not stopped adding cells after _CG_ROUNDS restricted LPs is given up
-#: (Funk samples of 150 to 1200 points stop after 1 to 7).
-_CG_NEAREST = 8
+#: (Funk samples of 100 to 1200 points stop after 1 to 6).  On 200- and
+#: 300-point Funk samples at p = 1, 2 and 3, a start of 12 cells took 3
+#: to 5 solves where 8 took 4 to 6, in about the same time; 16 would keep
+#: more than 10% of the cells of the 200-point LPs, 12 keeps 8.1-8.5%.
+_CG_NEAREST = 12
 _CG_ENTER = 1e-12
 _CG_UNIQUE = 1e-9
 _CG_HIGHS_TOL = 1e-10
@@ -207,7 +210,8 @@ def _highs_model(c, a, b_eq, presolve: bool, tolerance=None):
     return highs
 
 
-def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None):
+def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None,
+            model=None):
     """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
 
     Sets what ``scipy.optimize.linprog(method="highs")`` sets (presolve
@@ -232,6 +236,16 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None):
     basis as int8 arrays of HiGHS's codes: 0 at the lower bound, 1 basic,
     2 at the upper bound.  ``basis`` in that form starts the simplex
     from it instead of from HiGHS's crash basis.
+
+    An optimal result also has ``model``, the HiGHS instance that solved
+    it.  Passed back as ``model``, it is solved again with c and A_eq as
+    new columns appended after its own (b_eq must be its right-hand side,
+    and the model keeps its presolve and tolerance options): HiGHS keeps
+    its optimal basis and factorization, with the new columns nonbasic at
+    0, which stays primal feasible, and the primal simplex starts from
+    there.  The instance is changed in place, so the earlier result's
+    ``model`` then holds the larger LP.  ``x`` and ``basis`` cover every
+    column of it, and ``nit`` counts this solve's pivots only.
     """
     highspy = _highs()
     a = A_eq.tocsc()
@@ -243,7 +257,17 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None):
     if not np.isfinite(c).all():
         return SimpleNamespace(success=False, message="non-finite cost", nit=0)
 
-    highs = _highs_model(c, a, b_eq, presolve, tolerance)
+    if model is not None:
+        highs = model
+        highs.setOptionValue("simplex_strategy", int(
+            highspy.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal))
+        status = highs.addCols(n, c, np.zeros(n), np.full(n, highspy.kHighsInf),
+                               a.nnz, a.indptr[:-1], a.indices, a.data)
+        if status == highspy.HighsStatus.kError:
+            return SimpleNamespace(success=False, message="addCols failed", nit=0)
+        n = highs.getNumCol()
+    else:
+        highs = _highs_model(c, a, b_eq, presolve, tolerance)
     if basis is not None:
         codes = highspy.HighsBasisStatus
         lookup = [codes.kLower, codes.kBasic, codes.kUpper]
@@ -269,6 +293,7 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None):
         rows = np.array([int(k) for k in highs.getBasis().row_status],
                         dtype=np.int8)
         res.basis = (cols, rows)
+        res.model = highs
     return res
 
 
@@ -332,8 +357,12 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     forcing row and no two equal positive costs
     (``_tries_column_generation``) goes to ``_column_generation`` first
     (in the spirit of the shortlist method, Gottschlich and Schuhmacher
-    2014), and its answer is returned if it proves its plan to be the
-    only optimum.  Column generation is not
+    2014): one HiGHS model starts from the _CG_NEAREST cheapest cells per
+    row and per column, and each round appends the entering cells to it
+    and re-solves by primal simplex from the basis it holds.  Its answer
+    is returned if it proves its plan to be the only optimum; otherwise
+    the dense LP below runs as if it had not been tried.  Column
+    generation is not
     tried with forcing rows, so that their answers stay those of the
     presolve path, nor with tied costs: there the optimum is rarely
     unique, and an attempt would be wasted (cd-check's grid LPs).
@@ -403,21 +432,25 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     tolerances act relative to it; the value and the duals are scaled
     back.  The first restricted LP holds the _CG_NEAREST cheapest cells
     of each row and of each column, and the north-west-corner staircase,
-    so it is feasible.  Each round solves the restricted LP with presolve
-    off and feasibility tolerances of _CG_HIGHS_TOL, from the last
-    round's basis, prices all nr x nc reduced costs, and adds each row's
+    so it is feasible.  HiGHS solves it by dual simplex from its crash
+    basis, with presolve off and feasibility tolerances of _CG_HIGHS_TOL.
+    Each round then prices all nr x nc reduced costs and takes each row's
     and each column's most negative cell outside the LP if it is below
-    -_CG_ENTER.  If cells are still added after _CG_ROUNDS rounds, the
-    attempt is given up: each round adds at most nr + nc cells, so no
-    restricted LP holds more than the first one's cells and
-    (_CG_ROUNDS - 1) x (nr + nc) more.  When none is added, the result is
-    returned only if the final basis is a spanning tree (nr + nc - 1
-    basic cells, no basic row logical), its plan is nonnegative, and
-    every cell off the tree has a reduced cost above _CG_UNIQUE on the
-    scaled cost.  Then the plan
-    meets the masses to rounding and is the only optimal plan of the full
-    LP: any other feasible plan puts mass on a cell off the tree and
-    costs more.
+    -_CG_ENTER.  Those cells are appended to the same HiGHS model
+    (``linprog``'s ``model``), which keeps its optimal basis: with the new
+    cells at 0 it is still primal feasible, so the primal simplex goes on
+    from it, with the factorization HiGHS holds, and takes far fewer
+    pivots than the first solve.  If cells are still added after
+    _CG_ROUNDS solves, the attempt is given up: each round adds at most
+    nr + nc cells, so no restricted LP holds more than the first one's
+    cells and (_CG_ROUNDS - 1) x (nr + nc) more.  When none is added, the
+    result is returned only if the final basis is a spanning tree (nr +
+    nc - 1 basic cells, no basic row logical), its plan is nonnegative,
+    and every cell off the tree has a reduced cost above _CG_UNIQUE on the
+    scaled cost.  Then the plan meets the masses to rounding and is the
+    only optimal plan of the full LP: any other feasible plan puts mass on
+    a cell off the tree and costs more.  So the pivots HiGHS takes on the
+    way do not change an accepted answer beyond rounding.
     """
     nr, nc = c.shape
     scale = np.abs(c).max()
@@ -432,27 +465,25 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     start[_north_west_corner(a, b)[:2]] = True
     cells = np.flatnonzero(start)
     b_eq = np.concatenate([a, b[:-1]])
-    basis, nit = None, 0
+    new, model, nit = cells, None, 0
     for _ in range(_CG_ROUNDS):
-        res = linprog(cs.ravel()[cells], A_eq=_transport_csc(nr, nc, cells),
-                      b_eq=b_eq, presolve=False, basis=basis,
-                      tolerance=_CG_HIGHS_TOL)
+        res = linprog(cs.ravel()[new], A_eq=_transport_csc(nr, nc, new),
+                      b_eq=b_eq, presolve=False, tolerance=_CG_HIGHS_TOL,
+                      model=model)
         if not res.success:
             return None
-        nit += res.nit
+        nit, model = nit + res.nit, res.model
         duals = res.eqlin.marginals
         reduced = cs - duals[:nr, None] - np.append(duals[nr:], 0.0)
         in_lp = reduced.ravel()[cells]
         reduced.ravel()[cells] = np.inf
         rows_in = np.flatnonzero(reduced.min(axis=1) < -_CG_ENTER)
         cols_in = np.flatnonzero(reduced.min(axis=0) < -_CG_ENTER)
-        enter = np.union1d(rows_in * nc + reduced[rows_in].argmin(axis=1),
-                           reduced[:, cols_in].argmin(axis=0) * nc + cols_in)
-        if len(enter) == 0:
+        new = np.union1d(rows_in * nc + reduced[rows_in].argmin(axis=1),
+                         reduced[:, cols_in].argmin(axis=0) * nc + cols_in)
+        if len(new) == 0:
             break
-        cells = np.concatenate([cells, enter])
-        basis = (np.concatenate([res.basis[0], np.zeros(len(enter), np.int8)]),
-                 res.basis[1])
+        cells = np.concatenate([cells, new])
     else:
         return None
     tree = res.basis[0] == 1
