@@ -259,9 +259,9 @@ def u_beta_functional(U: Nonlinearity, pi: Coupling, dist: np.ndarray,
     """
     if direction not in ("forward", "reversed"):
         raise SpaceError(f"unknown direction {direction!r}")
-    nu = np.asarray(nu, dtype=float)
     mat = pi.matrix
     marg = pi.mu if direction == "forward" else pi.nu
+    nu = _measure(nu, len(marg), "nu")
     ac = nu > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(ac, marg / np.where(ac, nu, 1.0), np.nan)
@@ -482,6 +482,16 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     )
 
 
+def _test_function(f, n: int) -> np.ndarray:
+    """``f`` as a float vector of n finite values; SpaceError otherwise."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise SpaceError(f"f must have length {n}, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise SpaceError("f must be finite")
+    return f
+
+
 def grad_norms(mspace: MeasuredSpace, f, neighbor_radius: float):
     """Discrete gradient norms: full and descending-slope versions.
 
@@ -489,7 +499,7 @@ def grad_norms(mspace: MeasuredSpace, f, neighbor_radius: float):
     (``core._hops``) of |f(y)-f(x)|/d(x,y), and of the negative part only.
     Points with no hop get zero and are flagged.
     """
-    f = np.asarray(f, dtype=float)
+    f = _test_function(f, mspace.n)
     d = mspace.space.dist
     tail, head = _hops(d, neighbor_radius)
     if not tail.size:
@@ -506,7 +516,7 @@ def grad_norms(mspace: MeasuredSpace, f, neighbor_radius: float):
 def fisher_information(mspace: MeasuredSpace, rho,
                        neighbor_radius: float) -> float:
     """Descending-slope Fisher information of a density against nu."""
-    rho = np.asarray(rho, dtype=float)
+    rho = _measure(rho, mspace.n, "rho")
     _, gm, _ = grad_norms(mspace, rho, neighbor_radius)
     nu = mspace.weights
     mask = rho > 0
@@ -572,11 +582,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
     if f is not None:
         if K <= 0:
             raise SpaceError("Poincare/Lichnerowicz checks require K > 0")
-        f = np.asarray(f, dtype=float)
-        if f.shape != (ms.n,):
-            raise SpaceError(f"f must have length {ms.n}, got shape {f.shape}")
-        if not np.isfinite(f).all():
-            raise SpaceError("f must be finite")
+        f = _test_function(f, ms.n)
         f = f - float(f @ nu)  # center against nu
         _, gm, _ = grad_norms(ms, f, neighbor_radius)
         var = float((f ** 2) @ nu)

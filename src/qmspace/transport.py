@@ -7,15 +7,13 @@ problems also expose the Kantorovich-Rubinstein dual over asymmetric
 1-Lipschitz potentials f(y) - f(x) <= d(x, y).
 
 Every LP goes through ``_solve_lp``, which drops the points without
-mass, hands the rest to ``_transport_lp`` and certifies the answer.
-``_transport_lp``'s docstring gives the routing rule: a closed form for
-strictly Monge costs, column generation for distinct costs without
-forcing rows, and otherwise the dense LP through ``linprog``, which hands
-the model to the HiGHS bindings that scipy ships, with the options that
-``scipy.optimize.linprog(method="highs")`` sets.  The
-constraint matrix is built with numpy, and the bindings' extension module
-is loaded from its file in scipy's ``optimize/_highspy`` directory, so a
-solve imports neither ``scipy.optimize`` nor ``scipy.sparse``.
+mass, hands the rest to ``_transport_lp`` (its docstring gives the four
+routes, each of which returns an ``_Optimum``) and certifies the answer.
+HiGHS runs through ``linprog``, with the options of
+``scipy.optimize.linprog(method="highs")`` and presolve off.  The
+constraints are built with numpy, and the extension module of the HiGHS
+bindings that scipy ships is loaded from its file, so a solve imports
+neither ``scipy.optimize`` nor ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -172,8 +170,7 @@ def _highs():
 
 
 class _CSC(NamedTuple):
-    """A column-compressed matrix with the attributes that ``linprog``
-    reads and that scipy's sparse matrices share."""
+    """A column-compressed matrix: the constraints ``linprog`` reads."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -184,17 +181,25 @@ class _CSC(NamedTuple):
     def nnz(self) -> int:
         return len(self.data)
 
-    def tocsc(self):
-        return self
+
+class _Optimum(NamedTuple):
+    """A transport LP's optimum: its value, the nr x nc plan, the row
+    duals u (nr entries) and the column duals v (nc entries, v[-1] = 0),
+    with u[i] + v[j] <= c[i, j] and equality where the plan is not 0."""
+
+    value: float
+    plan: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
 
-def _highs_model(c, a, b_eq, presolve: bool, tolerance=None):
-    """A HiGHS instance holding min c @ x, a @ x = b_eq, x >= 0 (a in
-    column-compressed form), with the options ``linprog`` sets."""
+def _highs_model(c, a: _CSC, b_eq, tolerance=None):
+    """A HiGHS instance holding min c @ x, a @ x = b_eq, x >= 0, with the
+    options ``linprog`` sets."""
     highspy = _highs()
     m, n = a.shape
     highs = highspy._Highs()
-    highs.setOptionValue("presolve", "on" if presolve else "off")
+    highs.setOptionValue("presolve", "off")
     if tolerance is not None:
         highs.setOptionValue("primal_feasibility_tolerance", tolerance)
         highs.setOptionValue("dual_feasibility_tolerance", tolerance)
@@ -210,24 +215,19 @@ def _highs_model(c, a, b_eq, presolve: bool, tolerance=None):
     return highs
 
 
-def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None,
-            model=None):
+def linprog(c, *, A_eq: _CSC, b_eq, basis=None, tolerance=None, model=None):
     """Minimize c @ x subject to A_eq @ x = b_eq and x >= 0 with HiGHS.
 
-    Sets what ``scipy.optimize.linprog(method="highs")`` sets (presolve
-    on, dual simplex, no output) and leaves every other option at its
-    default, so the pivots, x, row duals (``eqlin.marginals``), objective
-    and ``nit`` are those of that call.  ``presolve=False`` turns presolve
-    off, as scipy's ``options={"presolve": False}`` does; on an LP that
-    presolve leaves unreduced the answer is bitwise the same either way.
+    Sets what ``scipy.optimize.linprog(method="highs", options={"presolve":
+    False})`` sets (presolve off, dual simplex, no output) and leaves
+    every other option at its default, so the pivots, x, row duals
+    (``eqlin.marginals``), objective and ``nit`` are those of that call.
     It skips scipy's loop over every column that builds bound duals,
     which no caller reads.  ``tolerance``, if given, replaces HiGHS's
     primal and dual feasibility tolerances (both 1e-7 by default).
 
-    A_eq is anything whose ``tocsc()`` has ``indptr``, ``indices``,
-    ``data``, ``shape`` and ``nnz``: a scipy sparse matrix, or the arrays
-    ``_transport_csc`` builds.  Only HiGHS's extension module is loaded
-    (``_highs``), not ``scipy.optimize``.
+    A_eq is a ``_CSC``, as ``_transport_csc`` builds it.  Only HiGHS's
+    extension module is loaded (``_highs``), not ``scipy.optimize``.
 
     ``success`` is True when HiGHS finds the model optimal; otherwise
     ``message`` is HiGHS's model status.  A non-finite cost fails before
@@ -240,16 +240,15 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None,
     An optimal result also has ``model``, the HiGHS instance that solved
     it.  Passed back as ``model``, it is solved again with c and A_eq as
     new columns appended after its own (b_eq must be its right-hand side,
-    and the model keeps its presolve and tolerance options): HiGHS keeps
-    its optimal basis and factorization, with the new columns nonbasic at
-    0, which stays primal feasible, and the primal simplex starts from
-    there.  The instance is changed in place, so the earlier result's
-    ``model`` then holds the larger LP.  ``x`` and ``basis`` cover every
-    column of it, and ``nit`` counts this solve's pivots only.
+    and the model keeps its tolerance options): HiGHS keeps its optimal
+    basis and factorization, with the new columns nonbasic at 0, which
+    stays primal feasible, and the primal simplex starts from there.  The
+    instance is changed in place, so the earlier result's ``model`` then
+    holds the larger LP.  ``x`` and ``basis`` cover every column of it,
+    and ``nit`` counts this solve's pivots only.
     """
     highspy = _highs()
-    a = A_eq.tocsc()
-    m, n = a.shape
+    m, n = A_eq.shape
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
     if c.shape != (n,) or b_eq.shape != (m,):
@@ -262,12 +261,13 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None,
         highs.setOptionValue("simplex_strategy", int(
             highspy.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal))
         status = highs.addCols(n, c, np.zeros(n), np.full(n, highspy.kHighsInf),
-                               a.nnz, a.indptr[:-1], a.indices, a.data)
+                               A_eq.nnz, A_eq.indptr[:-1], A_eq.indices,
+                               A_eq.data)
         if status == highspy.HighsStatus.kError:
             return SimpleNamespace(success=False, message="addCols failed", nit=0)
         n = highs.getNumCol()
     else:
-        highs = _highs_model(c, a, b_eq, presolve, tolerance)
+        highs = _highs_model(c, A_eq, b_eq, tolerance)
     if basis is not None:
         codes = highspy.HighsBasisStatus
         lookup = [codes.kLower, codes.kBasic, codes.kUpper]
@@ -299,7 +299,8 @@ def linprog(c, *, A_eq, b_eq, presolve=True, basis=None, tolerance=None,
 
 def _transport_csc(nr: int, nc: int, cells=None) -> _CSC:
     """The equality constraints of the nr x nc transportation LP: row
-    sums, then column sums but the last, which is redundant.
+    sums, then column sums but the last, which is redundant (``_duals``
+    reads a solution's duals in this order).
 
     One column per cell k = i * nc + j of ``cells``, in that order (every
     cell, in order, if None): a 1 in row i and, for j < nc - 1, in row
@@ -317,85 +318,77 @@ def _transport_csc(nr: int, nc: int, cells=None) -> _CSC:
     return _CSC(indptr, indices, np.ones(len(indices)), (nr + nc - 1, len(k)))
 
 
-def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``linprog``'s result for min <c, x> over x >= 0 with row sums a and
-    column sums b (all positive), built with ``_transport_csc``.
+def _duals(res, nr: int):
+    """The duals (u, v) of a ``linprog`` result on ``_transport_csc``'s
+    rows: u of the nr row sums, then v of the column sums, with v[-1] = 0
+    for the last column, which has no row."""
+    y = res.eqlin.marginals
+    return y[:nr], np.append(y[nr:], 0.0)
 
-    A mass at or below PRESOLVE_MASS makes its constraint a forcing row:
-    HiGHS presolve would fix every column of that row at 0 and drop it,
-    solve the rest, and rebuild the basis of the full LP in postsolve.
-    That is done here instead, because presolve spends far longer
-    finding those rows than numpy takes.  The LP without the forcing rows
-    and their columns (HiGHS's ``getPresolvedLp()``, in the same order)
-    is solved with presolve off, and its basis is completed as HiGHS's
-    forcing-row postsolve completes it.  Each forcing row takes the
-    reduced costs of its columns in kept rows and columns without its
-    own dual: c - v for a mu row, c - u for a nu row.  (A column in two
-    forcing rows has a reduced cost of at least its cost, which is not
-    negative, so it never enters.)  If the least is negative, the first
-    column that attains it becomes basic and the row's logical leaves
-    the basis at its bound; otherwise the logical is basic.  Every other
-    dropped column is nonbasic at 0.  The full LP, presolve off, starts
-    from that basis, as HiGHS's own solve after postsolve does: it
-    returns bitwise the x, row duals, objective and model status of the
-    presolve path, with the same total ``nit``.  That presolve makes no
-    other reduction on these LPs is measured, not proven: on every LP
-    tested (``TestPresolveRule`` and every seed-0 LP of the perfbench
-    workloads, HiGHS 1.12) the numpy reduction was HiGHS's presolved LP.
-    ``TestPresolveRule`` guards this across HiGHS upgrades, and
-    ``_solve_lp``'s certificate checks the answer either way.
 
-    nu's last entry has no row, so it never makes a forcing row.  An LP
-    with at most two rows or columns, before or after the reduction,
-    goes through HiGHS presolve (singleton and doubleton rows); on most
-    such LPs tried, presolve on and off differ in the last bits.  Every
-    other LP has no forcing row and is solved with presolve off.
+def _optimal(res):
+    """``res``, if HiGHS found it optimal; SpaceError otherwise."""
+    if not res.success:
+        raise SpaceError(f"transport LP failed: {res.message}")
+    return res
 
-    A strictly Monge cost with at least two rows and columns never
-    reaches HiGHS: ``_monge_lp`` solves it in closed form, whatever the
-    masses.  Otherwise an LP with at least three rows and columns, no
-    forcing row and no two equal positive costs
-    (``_tries_column_generation``) goes to ``_column_generation`` first
-    (in the spirit of the shortlist method, Gottschlich and Schuhmacher
-    2014): one HiGHS model starts from the _CG_NEAREST cheapest cells per
-    row and per column, and each round appends the entering cells to it
-    and re-solves by primal simplex from the basis it holds.  Its answer
-    is returned if it proves its plan to be the only optimum; otherwise
-    the dense LP below runs as if it had not been tried.  Column
-    generation is not
-    tried with forcing rows, so that their answers stay those of the
-    presolve path, nor with tied costs: there the optimum is rarely
-    unique, and an attempt would be wasted (cd-check's grid LPs).
+
+def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
+    """The ``_Optimum`` of min <c, x> over x >= 0 with row sums a and
+    column sums b (all positive); SpaceError if HiGHS finds none.
+
+    The first of four routes that applies solves it:
+
+    - a strictly Monge cost (``_strictly_monge``; every finite cost with
+      one row or column is one) goes to ``_monge_lp``'s closed form;
+    - an LP with at least three rows and columns, no forcing row and no
+      two equal positive costs (``_tries_column_generation``) goes to
+      ``_column_generation`` (after the shortlist method of Gottschlich
+      and Schuhmacher 2014), and on to the routes below if that does not
+      prove its plan to be the only optimum.  It is not tried with
+      forcing rows, so that their answers stay those of presolve, nor
+      with tied costs, whose optimum is rarely unique (cd-check's grids);
+    - an LP with forcing rows (masses at or below PRESOLVE_MASS; nu's
+      last entry has no row) is reduced as HiGHS presolve would, in far
+      less time: the LP without those rows and their columns is solved,
+      ``_forcing_basis`` completes its basis as HiGHS's postsolve does,
+      and the full LP starts from that basis;
+    - every other LP goes whole to ``linprog``.
+
+    HiGHS presolve never runs.  With at least three rows and columns left
+    after the reduction, the answer is bitwise that of presolve on: on
+    every such LP tested (``TestPresolveRule``, every seed-0 LP of the
+    perfbench workloads; HiGHS 1.12) the numpy reduction was HiGHS's
+    presolved LP, and presolve made no other.  With two rows or columns
+    presolve also removes doubleton rows, and the answers differ in the
+    last bits.  ``_solve_lp``'s certificate checks every route.
     """
     nr, nc = c.shape
-    if min(nr, nc) >= 2 and _strictly_monge(c):
+    if _strictly_monge(c):
         return _monge_lp(c, a, b)
     if _tries_column_generation(c, a, b):
-        res = _column_generation(c, a, b)
-        if res is not None:
-            return res
+        opt = _column_generation(c, a, b)
+        if opt is not None:
+            return opt
     keep_r = a > PRESOLVE_MASS
     keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
-    kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
-    b_eq = np.concatenate([a, b[:-1]])
-    if min(nr, nc, len(kr), len(kc)) <= 2:
-        return linprog(c.ravel(), A_eq=_transport_csc(nr, nc), b_eq=b_eq)
     basis = None
-    if len(kr) < nr or len(kc) < nc:
-        res = linprog(c[np.ix_(kr, kc)].ravel(),
-                      A_eq=_transport_csc(len(kr), len(kc)),
-                      b_eq=np.concatenate([a[kr], b[kc[:-1]]]), presolve=False)
-        if not res.success:
-            return res
+    if not (keep_r.all() and keep_c.all()):
+        kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
+        res = _optimal(linprog(c[np.ix_(kr, kc)].ravel(),
+                               A_eq=_transport_csc(len(kr), len(kc)),
+                               b_eq=np.concatenate([a[kr], b[kc[:-1]]])))
         basis = _forcing_basis(c, res, keep_r, keep_c)
-    return linprog(c.ravel(), A_eq=_transport_csc(nr, nc), b_eq=b_eq,
-                   presolve=False, basis=basis)
+    res = _optimal(linprog(c.ravel(), A_eq=_transport_csc(nr, nc),
+                           b_eq=np.concatenate([a, b[:-1]]), basis=basis))
+    return _Optimum(res.fun, res.x.reshape(nr, nc), *_duals(res, nr))
 
 
 def _strictly_monge(c: np.ndarray) -> bool:
-    """Whether c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j] on every
-    adjacent 2 x 2 block of the finite matrix c.  The first two rows are
-    tested alone first, which turns most other costs away in O(nc)."""
+    """Whether c is finite and c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j]
+    on every adjacent 2 x 2 block (so on none if c has one row or one
+    column).  The first two rows are tested alone first, which turns most
+    other costs away in O(nc)."""
     def strict(m):
         return bool((m[:-1, :-1] + m[1:, 1:] < m[:-1, 1:] + m[1:, :-1]).all())
     return strict(c[:2]) and strict(c) and bool(np.isfinite(c).all())
@@ -424,16 +417,16 @@ def _distinct_costs(c: np.ndarray) -> bool:
 
 
 def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``linprog``'s result for the transport LP of ``_transport_lp``,
-    solved over a growing set of cells, or None if that does not prove
-    its plan to be the only optimum.
+    """The ``_Optimum`` of the transport LP of ``_transport_lp``, solved
+    over a growing set of cells, or None if that does not prove its plan
+    to be the only optimum.
 
     The cost is divided by its largest entry, so HiGHS's absolute
     tolerances act relative to it; the value and the duals are scaled
     back.  The first restricted LP holds the _CG_NEAREST cheapest cells
     of each row and of each column, and the north-west-corner staircase,
     so it is feasible.  HiGHS solves it by dual simplex from its crash
-    basis, with presolve off and feasibility tolerances of _CG_HIGHS_TOL.
+    basis, to feasibility tolerances of _CG_HIGHS_TOL.
     Each round then prices all nr x nc reduced costs and takes each row's
     and each column's most negative cell outside the LP if it is below
     -_CG_ENTER.  Those cells are appended to the same HiGHS model
@@ -465,16 +458,15 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     start[_north_west_corner(a, b)[:2]] = True
     cells = np.flatnonzero(start)
     b_eq = np.concatenate([a, b[:-1]])
-    new, model, nit = cells, None, 0
+    new, model = cells, None
     for _ in range(_CG_ROUNDS):
         res = linprog(cs.ravel()[new], A_eq=_transport_csc(nr, nc, new),
-                      b_eq=b_eq, presolve=False, tolerance=_CG_HIGHS_TOL,
-                      model=model)
+                      b_eq=b_eq, tolerance=_CG_HIGHS_TOL, model=model)
         if not res.success:
             return None
-        nit, model = nit + res.nit, res.model
-        duals = res.eqlin.marginals
-        reduced = cs - duals[:nr, None] - np.append(duals[nr:], 0.0)
+        model = res.model
+        u, v = _duals(res, nr)
+        reduced = cs - u[:, None] - v
         in_lp = reduced.ravel()[cells]
         reduced.ravel()[cells] = np.inf
         rows_in = np.flatnonzero(reduced.min(axis=1) < -_CG_ENTER)
@@ -493,16 +485,12 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         return None
     x = np.zeros(nr * nc)
     x[cells] = res.x
-    status = np.zeros(nr * nc, dtype=np.int8)
-    status[cells] = res.basis[0]
-    return SimpleNamespace(success=True, message=res.message, nit=nit, x=x,
-                           fun=res.fun * scale, basis=(status, res.basis[1]),
-                           eqlin=SimpleNamespace(marginals=duals * scale))
+    return _Optimum(res.fun * scale, x.reshape(nr, nc), u * scale, v * scale)
 
 
-def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``linprog``'s result for the transport LP of ``_transport_lp``
-    when c is strictly Monge (``_strictly_monge``), in closed form.
+def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
+    """The ``_Optimum`` of the transport LP of ``_transport_lp`` when c is
+    strictly Monge (``_strictly_monge``), in closed form.
 
     Adjacent 2 x 2 blocks that are strictly Monge make the whole matrix
     strictly Monge, and then the north-west-corner plan is optimal
@@ -513,7 +501,9 @@ def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     u[i] + v[j] = c[i, j] on it and v[nc - 1] = 0 are read off backwards
     from the last cell.  They are dual feasible: the reduced cost of a
     cell off the staircase is a sum of adjacent Monge differences, so it
-    is positive.  ``_solve_lp`` checks both.
+    is positive.  ``_solve_lp`` checks both.  With one row or one
+    column the staircase holds every cell, and its plan is the only
+    feasible one.
     """
     nr, nc = c.shape
     rows, cols, mass = _north_west_corner(a, b)
@@ -530,9 +520,7 @@ def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
             v[j] = ck - u[i]
     x = np.zeros((nr, nc))
     x[rows, cols] = mass
-    return SimpleNamespace(success=True, message="Optimal", nit=0,
-                           x=x.ravel(), fun=float(np.dot(stair, mass)),
-                           eqlin=SimpleNamespace(marginals=np.array(u + v[:-1])))
+    return _Optimum(float(np.dot(stair, mass)), x, np.array(u), np.array(v))
 
 
 def _north_west_corner(a: np.ndarray, b: np.ndarray):
@@ -569,13 +557,23 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray):
 
 def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
     """The basis of the full transport LP that HiGHS's forcing-row
-    postsolve builds from ``res``, the optimum without the forcing rows
-    (the rule is in ``_transport_lp``), as (column, row) statuses."""
+    postsolve builds from ``res``, ``linprog``'s optimum of the LP without
+    the forcing rows (those of ``~keep_r`` and ``~keep_c``) and their
+    columns, as (column, row) statuses.
+
+    Each forcing row takes the reduced costs of its columns in kept rows
+    and columns without its own dual: c - v for a mu row, c - u for a nu
+    row.  (A column in two forcing rows has a reduced cost of at least its
+    cost, which is not negative, so it never enters.)  If the least is
+    negative, the first column that attains it becomes basic and the
+    row's logical leaves the basis at its bound; otherwise the logical is
+    basic.  Every other dropped column is nonbasic at 0.  Started from
+    that basis, the full LP takes no pivot on the LPs tested.
+    """
     nr, nc = c.shape
     kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
     fi, fj = np.flatnonzero(~keep_r), np.flatnonzero(~keep_c)
-    u = res.eqlin.marginals[:len(kr)]
-    v = np.append(res.eqlin.marginals[len(kr):], 0.0)
+    u, v = _duals(res, len(kr))
     cols = np.zeros((nr, nc), dtype=np.int8)
     cols[np.ix_(kr, kc)] = res.basis[0].reshape(len(kr), len(kc))
     rows = np.ones(nr + nc - 1, dtype=np.int8)
@@ -604,35 +602,27 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
     Points without mass are dropped, and ``_transport_lp`` solves the
     rest by the routing rule its docstring gives (dropping rows and
-    columns keeps a Monge matrix Monge).  Every route must pass the same
-    certificate below.  Column generation's duals are scaled back from
+    columns keeps a Monge matrix Monge).  Every route's ``_Optimum`` must
+    pass the same certificate below.  Column generation's duals are scaled back from
     the cost divided by its largest entry, and at costs near 1e12 their
     rounding alone can still fail the absolute thresholds below.
     """
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]
     c = cost[np.ix_(keep_r, keep_c)]
-    a, b = mu[keep_r], nu[keep_c]
-    nr, nc = len(a), len(b)
-    res = _transport_lp(c, a, b)
-    if not res.success:
-        raise SpaceError(f"transport LP failed: {res.message}")
-    plan_small = res.x.reshape(nr, nc)
+    opt = _transport_lp(c, mu[keep_r], nu[keep_c])
 
     # complementary-slackness certificate from the equality duals
-    duals = np.asarray(res.eqlin.marginals)
-    u = duals[:nr]
-    v = np.concatenate([duals[nr:], [0.0]])
-    reduced = c - u[:, None] - v[None, :]
+    reduced = c - opt.u[:, None] - opt.v[None, :]
     if reduced.min() < -1e-7:
         raise SpaceError("LP optimality certificate failed: negative reduced cost")
-    if np.abs(plan_small * reduced).max() > 1e-6:
+    if np.abs(opt.plan * reduced).max() > 1e-6:
         raise SpaceError("LP optimality certificate failed: slackness violated")
 
     plan = np.zeros_like(cost)
-    plan[np.ix_(keep_r, keep_c)] = plan_small
-    psi = (cost[keep_r] - u[:, None]).min(axis=0)
-    return float(res.fun), plan, psi
+    plan[np.ix_(keep_r, keep_c)] = opt.plan
+    psi = (cost[keep_r] - opt.u[:, None]).min(axis=0)
+    return float(opt.value), plan, psi
 
 
 def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:

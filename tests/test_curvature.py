@@ -539,6 +539,45 @@ class TestGradients:
         assert got == pytest.approx(want)
 
 
+class TestInputChecks:
+    """Every measure entering curvature passes core._measure, and every
+    test function is checked for its length and for finite values."""
+
+    BAD = {"negative": lambda n: -np.ones(n),
+           "nan": lambda n: np.r_[np.nan, np.ones(n - 1)],
+           "longer": lambda n: np.ones(n + 1)}
+    MATCH = {"negative": "nonnegative", "nan": "finite", "longer": "length"}
+
+    @staticmethod
+    def _line():
+        return gaussian_line(1.0, 1.0, 0.25)
+
+    # each gave inf, inf and a numpy broadcast error
+    @pytest.mark.parametrize("bad", ["negative", "nan", "longer"])
+    def test_distorted_functional_reference(self, bad):
+        ms = self._line()
+        w = ms.weights / ms.weights.sum()
+        pi = Coupling(np.diag(w), w, w)
+        with pytest.raises(SpaceError, match=self.MATCH[bad]):
+            u_beta_functional(entropy_nonlinearity(), pi, ms.space.dist,
+                              self.BAD[bad](ms.n), DistortionParams(1.0, 3.0, 0.5))
+
+    # each gave 0.0 and an IndexError
+    @pytest.mark.parametrize("bad", ["negative", "longer"])
+    def test_fisher_information_density(self, bad):
+        ms = self._line()
+        with pytest.raises(SpaceError, match=self.MATCH[bad]):
+            fisher_information(ms, self.BAD[bad](ms.n),
+                               default_hop_radius(ms.space))
+
+    # the longer f was read up to its n-th entry, the NaN one accepted
+    @pytest.mark.parametrize("bad", ["longer", "nan"])
+    def test_grad_norms_function(self, bad):
+        ms = self._line()
+        with pytest.raises(SpaceError, match=self.MATCH[bad]):
+            grad_norms(ms, self.BAD[bad](ms.n), default_hop_radius(ms.space))
+
+
 class TestInequalitySuite:
     def test_gaussian_line_all_pass(self):
         ms = gaussian_line(1.0, 2.5, 0.1)

@@ -1,5 +1,6 @@
 import importlib.machinery
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -151,18 +152,19 @@ class TestHighsBindings:
 
     @staticmethod
     def _captured_lps(monkeypatch, cost, mu, nu, allow_failure=False):
-        """The (c, A_eq, b_eq, presolve, basis) of every linprog call of
-        _solve_lp, and its plan; with allow_failure, a SpaceError from
+        """The (c, A_eq, b_eq, basis) and the answer of every linprog call
+        of _solve_lp, and its plan; with allow_failure, a SpaceError from
         _solve_lp gives plan None instead of failing the test."""
         seen = []
         ours = transport.linprog
 
-        def record(c, *, A_eq, b_eq, presolve=True, basis=None, **options):
+        def record(c, *, A_eq, b_eq, basis=None, **options):
             # column generation's restricted LPs pass a tolerance; these
             # tests are about the dense LP, so no input may reach it
             assert not options
-            seen.append((c, A_eq, b_eq, presolve, basis))
-            return ours(c, A_eq=A_eq, b_eq=b_eq, presolve=presolve, basis=basis)
+            res = ours(c, A_eq=A_eq, b_eq=b_eq, basis=basis)
+            seen.append((c, A_eq, b_eq, basis, res))
+            return res
 
         monkeypatch.setattr(transport, "linprog", record)
         try:
@@ -175,40 +177,30 @@ class TestHighsBindings:
 
     @classmethod
     def _captured_lp(cls, monkeypatch, cost, mu, nu, allow_failure=False):
-        """The (c, A_eq, b_eq, presolve) of _solve_lp's one linprog call,
-        made without a basis, and its plan."""
+        """The (c, A_eq, b_eq) of _solve_lp's one linprog call, made
+        without a basis, and its plan."""
         seen, plan = cls._captured_lps(monkeypatch, cost, mu, nu, allow_failure)
-        ((*lp, basis),) = seen
+        ((*lp, basis, _),) = seen
         assert basis is None
         return tuple(lp), plan
 
-    @staticmethod
-    def _ours_and_scipy(c, a_eq, b_eq, presolve):
-        """transport.linprog's answer and scipy's on one LP."""
-        from scipy.optimize import linprog as scipy_linprog
-        from scipy.sparse import csc_array
-        # scipy's linprog reads only its own sparse types
-        a_scipy = csc_array((a_eq.data, a_eq.indices, a_eq.indptr),
-                            shape=a_eq.shape)
-        want = scipy_linprog(c, A_eq=a_scipy, b_eq=b_eq, bounds=(0, None),
-                             method="highs", options={"presolve": presolve})
-        return (transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=presolve),
-                want)
-
     @classmethod
     def _lps(cls, monkeypatch, cost, mu, nu):
-        """The LP _solve_lp builds, transport.linprog's answer and scipy's
-        with the same presolve setting."""
-        lp, plan = cls._captured_lp(monkeypatch, cost, mu, nu)
-        return *cls._ours_and_scipy(*lp), plan
+        """transport.linprog's answer to the LP _solve_lp builds, scipy's
+        with presolve off too, and _solve_lp's plan."""
+        (c, a_eq, b_eq), plan = cls._captured_lp(monkeypatch, cost, mu, nu)
+        return (transport.linprog(c, A_eq=a_eq, b_eq=b_eq),
+                _scipy_linprog(c, a_eq, b_eq, presolve=False), plan)
 
     @staticmethod
-    def _assert_same(got, want):
+    def _assert_same(got, want, nit=True):
+        """Bitwise the same answer; with nit, in as many pivots."""
         assert got.success and want.success
         assert np.array_equal(got.x, want.x)
         assert np.array_equal(got.eqlin.marginals, want.eqlin.marginals)
         assert got.fun == want.fun
-        assert got.nit == want.nit
+        if nit:
+            assert got.nit == want.nit
 
     def test_dense(self, monkeypatch, rng):
         space = random_quasi_metric(rng, 30)
@@ -239,22 +231,16 @@ class TestHighsBindings:
         mu, nu = mu / mu.sum(), nu / nu.sum()
         seen, plan = self._captured_lps(monkeypatch, space.dist ** 2, mu, nu)
         assert len(seen) == 2
-        c, a_eq, b_eq = seen[-1][:3]  # the full LP, after the reduced one
-        got, want = self._ours_and_scipy(c, a_eq, b_eq, presolve=True)
-        self._assert_same(got, want)
+        # the full LP, started from the basis completed after the reduced
+        # one, against scipy's presolve on the full LP
+        (*_, small), (c, a_eq, b_eq, _, got) = seen
+        want = _scipy_linprog(c, a_eq, b_eq)
+        assert got.nit == 0 and small.nit == want.nit
+        self._assert_same(got, want, nit=False)
         assert np.array_equal(plan, got.x.reshape(30, 30))
         drift = max(np.abs(plan.sum(axis=1) - mu).max(),
                     np.abs(plan.sum(axis=0) - nu).max())
         assert drift > transport.MARGINAL_TOL
-
-    def test_single_source(self, monkeypatch, rng):
-        space = random_quasi_metric(rng, 12)
-        mu = np.zeros(12)
-        mu[4] = 1.0
-        nu = rng.random(12)
-        got, want, _ = self._lps(monkeypatch, space.dist, mu, nu / nu.sum())
-        assert len(got.x) == 12
-        self._assert_same(got, want)
 
     @pytest.mark.parametrize("nr", [1, 2, 3, 17])
     @pytest.mark.parametrize("nc", [1, 2, 3, 17])
@@ -265,10 +251,17 @@ class TestHighsBindings:
         mu, nu = np.zeros(n), np.zeros(n)
         mu[rng.choice(n, nr, replace=False)] = rng.random(nr) + 0.1
         nu[rng.choice(n, nc, replace=False)] = rng.random(nc) + 0.1
-        (_, got, _, _), _ = self._captured_lp(
-            monkeypatch,
-            _tied(_not_monge(random_quasi_metric(rng, n).dist, mu, nu), mu, nu),
-            mu / mu.sum(), nu / nu.sum())
+        cost = _tied(_not_monge(random_quasi_metric(rng, n).dist, mu, nu), mu, nu)
+        if min(nr, nc) == 1:
+            # the closed form answers without an LP; the forcing-row
+            # reduction can still leave one row or column
+            seen, _ = self._captured_lps(monkeypatch, cost, mu / mu.sum(),
+                                         nu / nu.sum())
+            assert seen == []
+            got = transport._transport_csc(nr, nc)
+        else:
+            (_, got, _), _ = self._captured_lp(monkeypatch, cost, mu / mu.sum(),
+                                               nu / nu.sum())
         want = transport_constraints(nr, nc)
         assert got.shape == want.shape
         assert got.nnz == want.nnz
@@ -282,9 +275,8 @@ class TestHighsBindings:
         mu, nu = rng.random(12), rng.random(12)
         a_eq = transport._transport_csc(12, 12)
         b_eq = np.concatenate([mu / mu.sum(), (nu / nu.sum())[:-1]])
-        cold = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=False)
-        warm = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=False,
-                                 basis=cold.basis)
+        cold = transport.linprog(c, A_eq=a_eq, b_eq=b_eq)
+        warm = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, basis=cold.basis)
         assert cold.nit > 0 and warm.nit == 0
         for part in (0, 1):
             assert np.array_equal(warm.basis[part], cold.basis[part])
@@ -306,7 +298,7 @@ class TestHighsBindings:
         rows, cols, _ = transport._north_west_corner(mu, nu)
         first = np.ravel_multi_index((rows, cols), (12, 12))
         rest = np.setdiff1d(np.arange(144), first)
-        start = transport.linprog(cost.ravel()[first], b_eq=b_eq, presolve=False,
+        start = transport.linprog(cost.ravel()[first], b_eq=b_eq,
                                   A_eq=transport._transport_csc(12, 12, first))
         model = start.model
         hot = transport.linprog(cost.ravel()[rest], b_eq=b_eq, model=model,
@@ -314,7 +306,7 @@ class TestHighsBindings:
         assert hot.success and hot.model is model and model.getNumCol() == 144
         assert len(hot.x) == len(hot.basis[0]) == 144
         full = transport.linprog(cost.ravel(), A_eq=transport._transport_csc(12, 12),
-                                 b_eq=b_eq, presolve=False)
+                                 b_eq=b_eq)
         assert hot.fun == pytest.approx(full.fun, rel=1e-12)
         x = np.zeros(144)
         x[np.concatenate([first, rest])] = hot.x
@@ -333,11 +325,8 @@ class TestHighsBindings:
         assert transport.HIGHS_MODULE not in sys.modules
 
     def test_infeasible_is_not_success(self):
-        from scipy.sparse import csr_array
         # rows 0.5 + 0.5, but column 0 alone asks for 1.5
-        a_eq = csr_array(np.array([[1.0, 1.0, 0.0, 0.0],
-                                   [0.0, 0.0, 1.0, 1.0],
-                                   [1.0, 0.0, 1.0, 0.0]]))
+        a_eq = transport._transport_csc(2, 2)
         res = transport.linprog(np.ones(4), A_eq=a_eq, b_eq=[0.5, 0.5, 1.5])
         assert not res.success
         assert res.message == "Infeasible"
@@ -373,16 +362,38 @@ def _kept(d, mu, nu, p=1):
     return d[np.ix_(mu > 0, nu > 0)] ** p, mu[mu > 0], nu[nu > 0]
 
 
-def _goes_closed_form(c):
-    """Whether _transport_lp solves the LP of kept cost c in closed form."""
-    return min(c.shape) >= 2 and transport._strictly_monge(c)
+def _three_kept(cost, mu, nu):
+    """Whether the LP that _solve_lp hands on keeps at least three rows
+    and three columns without its forcing rows: below that, HiGHS presolve
+    also removes doubleton rows, and its answer differs from presolve
+    off in the last bits."""
+    _, a, b = _kept(cost, mu, nu)
+    tol = transport.PRESOLVE_MASS
+    return min((a > tol).sum(), (b[:-1] > tol).sum() + 1) >= 3
+
+
+def _scipy_linprog(c, a_eq, b_eq, presolve=True):
+    """scipy's linprog(method="highs") on the LP whose constraints are
+    the _CSC a_eq."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+    # scipy's linprog reads only its own sparse types
+    a = csc_array((a_eq.data, a_eq.indices, a_eq.indptr), shape=a_eq.shape)
+    return linprog(c, A_eq=a, b_eq=b_eq, bounds=(0, None), method="highs",
+                   options={"presolve": presolve})
+
+
+def _presolving_model(c, a_eq, b_eq):
+    """The HiGHS model that linprog would solve, presolved by HiGHS."""
+    highs = transport._highs_model(c, a_eq, b_eq)
+    highs.setOptionValue("presolve", "on")
+    highs.presolve()
+    return highs
 
 
 def _presolve_status(c, a_eq, b_eq):
     """What HiGHS's presolve makes of the LP that linprog would solve."""
-    highs = transport._highs_model(c, a_eq, b_eq, presolve=True)
-    highs.presolve()
-    return highs.getModelPresolveStatus()
+    return _presolving_model(c, a_eq, b_eq).getModelPresolveStatus()
 
 
 @st.composite
@@ -454,7 +465,7 @@ def column_generation_inputs(draw):
             m /= m.sum()
     cost = _not_monge(cost, mu, nu)
     assert transport._tries_column_generation(*_kept(cost, mu, nu))
-    assert not _goes_closed_form(_kept(cost, mu, nu)[0])
+    assert not transport._strictly_monge(_kept(cost, mu, nu)[0])
     return cost, mu, nu
 
 
@@ -471,10 +482,16 @@ def _dense(cost, mu, nu):
 
 def _presolved(cost, mu, nu):
     """_solve_lp's answer, or its SpaceError message, with every
-    transport LP handed whole to HiGHS presolve."""
+    transport LP handed whole to scipy's linprog, HiGHS presolve on."""
     def presolve_all(c, a, b):
-        return transport.linprog(c.ravel(), A_eq=transport._transport_csc(*c.shape),
-                                 b_eq=np.concatenate([a, b[:-1]]))
+        res = _scipy_linprog(c.ravel(), transport._transport_csc(*c.shape),
+                             np.concatenate([a, b[:-1]]))
+        if not res.success:
+            # HiGHS's model status, which transport.linprog reports alone
+            status = re.search(r"model_status is (.*?);", res.message)[1]
+            raise SpaceError(f"transport LP failed: {status}")
+        return transport._Optimum(res.fun, res.x.reshape(c.shape),
+                                  *transport._duals(res, len(a)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_transport_lp", presolve_all)
@@ -494,8 +511,9 @@ def _assert_bitwise(got, want):
 
 
 class TestPresolveRule:
-    """_solve_lp runs HiGHS presolve only where numpy cannot do its work,
-    and gets bitwise the answer of the presolve path."""
+    """_solve_lp never runs HiGHS presolve: numpy does its one reduction
+    on these LPs, and with at least three rows and columns left the answer
+    is bitwise that of presolve on."""
 
     def test_threshold_is_highs_feasibility_tolerance(self):
         _, tol = transport._highs()._Highs().getOptionValue(
@@ -505,6 +523,7 @@ class TestPresolveRule:
     @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
     def test_skipping_presolve_changes_nothing(self, inputs):
+        assume(_three_kept(*inputs))
         with pytest.MonkeyPatch.context() as mp:
             # the dense LP, also where column generation would answer
             mp.setattr(transport, "_column_generation", lambda c, a, b: None)
@@ -512,15 +531,13 @@ class TestPresolveRule:
             # LPs it hands to linprog matter here
             seen, _ = TestHighsBindings._captured_lps(mp, *inputs,
                                                       allow_failure=True)
-        if len(seen) != 1 or seen[0][3]:
-            return  # the forcing-row reduction, or presolve on
-        c, a_eq, b_eq, _, _ = seen[0]
+        if len(seen) != 1:
+            return  # the closed form, or the forcing-row reduction
+        c, a_eq, b_eq, _, off = seen[0]
         assert _presolve_status(c, a_eq, b_eq) == \
             transport._highs().HighsPresolveStatus.kNotReduced
-        on, off = (transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=flag)
-                   for flag in (True, False))
-        assert (on.success, on.message, on.nit) == \
-            (off.success, off.message, off.nit)
+        on = _scipy_linprog(c, a_eq, b_eq)
+        assert (on.success, on.nit) == (off.success, off.nit)
         if on.success:
             assert np.array_equal(on.x, off.x)
             assert np.array_equal(on.eqlin.marginals, off.eqlin.marginals)
@@ -532,7 +549,8 @@ class TestPresolveRule:
         # strictly Monge costs never reach HiGHS; TestMongeClosedForm
         # covers them.  Column generation is turned off (_dense), so the
         # LPs it would answer are checked on the dense path too.
-        assume(not _goes_closed_form(_kept(*inputs)[0]))
+        assume(_three_kept(*inputs))
+        assume(not transport._strictly_monge(_kept(*inputs)[0]))
         _assert_bitwise(_dense(*inputs), _presolved(*inputs))
 
     def test_reduction_is_highs_presolved_lp(self, monkeypatch, rng):
@@ -545,11 +563,9 @@ class TestPresolveRule:
             m[big] *= (1.0 - m[~big].sum()) / m[big].sum()
         seen, plan = TestHighsBindings._captured_lps(
             monkeypatch, random_quasi_metric(rng, n).dist ** 2, mu, nu)
-        (c_small, a_small, b_small, on, _), (c, a_eq, b_eq, _, basis) = seen
-        assert not on and basis is not None
-        highs = transport._highs_model(c, a_eq, b_eq, presolve=True)
-        highs.presolve()
-        lp = highs.getPresolvedLp()
+        (c_small, a_small, b_small, _, small), (c, a_eq, b_eq, basis, full) = seen
+        assert basis is not None
+        lp = _presolving_model(c, a_eq, b_eq).getPresolvedLp()
         assert (lp.num_row_, lp.num_col_) == a_small.shape == (10 + 9, 10 * 10)
         assert np.array_equal(lp.col_cost_, c_small)
         assert np.array_equal(lp.row_lower_, b_small)
@@ -561,11 +577,7 @@ class TestPresolveRule:
         assert np.array_equal(lp.a_matrix_.value_, a_small.data)
         # the completed basis is HiGHS's postsolved one: the full LP takes
         # no pivot of its own
-        small = transport.linprog(c_small, A_eq=a_small, b_eq=b_small,
-                                  presolve=False)
-        full = transport.linprog(c, A_eq=a_eq, b_eq=b_eq, presolve=False,
-                                 basis=basis)
-        whole = transport.linprog(c, A_eq=a_eq, b_eq=b_eq)
+        whole = _scipy_linprog(c, a_eq, b_eq)
         assert full.nit == 0 and small.nit == whole.nit
         assert np.array_equal(full.x, whole.x)
         assert np.array_equal(full.eqlin.marginals, whole.eqlin.marginals)
@@ -579,37 +591,109 @@ class TestPresolveRule:
         nu[-1] = 0.5e-7
         mu, nu = mu / mu.sum(), nu / nu.sum()
         cost = _tied(random_quasi_metric(rng, n).dist, mu, nu)
-        (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
+        (c, a_eq, b_eq), _ = TestHighsBindings._captured_lp(
             monkeypatch, cost, mu, nu)
-        assert not presolve
         assert _presolve_status(c, a_eq, b_eq) == \
             transport._highs().HighsPresolveStatus.kNotReduced
         monkeypatch.undo()
         _assert_bitwise(transport._solve_lp(cost, mu, nu),
                         _presolved(cost, mu, nu))
 
+
+class TestSmallLPs:
+    """An LP with one row or one column has one feasible plan, which the
+    closed form gives without HiGHS; one with two rows or two columns goes
+    to HiGHS with presolve off, like every other."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("shape", ["dense", "zeros"])
+    @pytest.mark.parametrize("dirac", ["source", "target"])
+    def test_one_row_or_column_is_the_other_marginal(self, monkeypatch, rng,
+                                                     dirac, shape, p):
+        n, k = 30, 7
+        cost = random_quasi_metric(rng, n).dist ** p
+        other = rng.random(n)
+        if shape == "zeros":  # dropped before the LP is built
+            other[rng.random(n) < 0.5] = 0.0
+        other /= other.sum()
+        delta = np.zeros(n)
+        delta[k] = 1.0
+        source = dirac == "source"
+        mu, nu = (delta, other) if source else (other, delta)
+        calls = []
+        monkeypatch.setattr(transport, "linprog",
+                            lambda *args, **kwargs: calls.append(1))
+        # _solve_lp raises unless its certificate passes
+        value, plan, _ = transport._solve_lp(cost, mu, nu)
+        assert calls == []
+        c, a, b = _kept(cost, mu, nu)
+        want = c[0] @ b if source else a @ c[:, 0]
+        assert abs(value - want) <= 1e-15 * want
+        assert np.abs((plan[k] if source else plan[:, k]) - other).max() <= 1e-15
+        assert not np.delete(plan, k, axis=0 if source else 1).any()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_asymmetry_bound_reads_the_closed_form(self, rng, p):
+        # W_p(delta_x*, mu) is the one plan's cost, d(x*, .)^p @ mu
+        n, star = 40, 3
+        space = random_quasi_metric(rng, n)
+        mu, nu = rng.random(n), rng.random(n)
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        ms = MeasuredSpace(space, np.full(n, 1.0 / n), basepoint=star)
+        rep = asymmetry_bound_check(ms, mu, nu, p=p, q=1.0,
+                                    theta_fn=lambda r: 1.0)
+        want = (space.dist[star] ** p @ mu) ** (1.0 / p)
+        assert abs(rep.details["w_p_star_mu"] - want) <= 1e-15 * want
+
     @pytest.mark.parametrize("nr, nc, least", [
-        (3, 10, 0.99e-7),   # two rows left after the reduction
+        (2, 6, None),
+        (6, 2, None),
+        (2, 6, 1e-7),       # one row left after the reduction
+        (6, 2, 0.99e-7),    # one column left
+        (3, 4, 0.99e-7),    # two rows left
+        (2, 10, None),
+        (10, 2, None),
+        (3, 10, 0.99e-7),
         (3, 10, 1e-7),
-        (2, 10, None),      # doubleton column constraints
-        (10, 2, None),      # doubleton row constraints
-        (1, 10, None),
-        (10, 1, None),
+        (2, 200, None),
+        (200, 2, None),
+        (2, 200, 0.99e-7),
+        (200, 2, 1e-7),
+        (3, 200, 1e-7),
     ])
-    def test_presolve_runs_where_it_reduces(self, monkeypatch, rng, nr, nc, least):
-        n = 12
-        mu, nu = np.zeros(n), np.zeros(n)
-        mu[:nr] = rng.random(nr) + 0.1
-        nu[n - nc:] = rng.random(nc) + 0.1
+    def test_two_rows_or_columns_solve_with_presolve_off(self, monkeypatch, rng,
+                                                          nr, nc, least):
+        mu, nu = rng.random(nr) + 0.1, rng.random(nc) + 0.1
         mu, nu = mu / mu.sum(), nu / nu.sum()
         if least is not None:
-            mu[1:nr] *= (1.0 - least) / mu[1:nr].sum()
-            mu[0] = least
-        (c, a_eq, b_eq, presolve), _ = TestHighsBindings._captured_lp(
-            monkeypatch, random_quasi_metric(rng, n).dist, mu, nu)
-        assert presolve
-        assert _presolve_status(c, a_eq, b_eq) != \
-            transport._highs().HighsPresolveStatus.kNotReduced
+            # a forcing row of the shorter side (never nu's last entry)
+            m = mu if nr <= nc else nu
+            m[1:] *= (1.0 - least) / m[1:].sum()
+            m[0] = least
+        cost = _not_monge(rng.random((nr, nc)), mu, nu)
+        started = []  # whether each linprog call starts from a basis
+        ours = transport.linprog
+
+        def record(c, **kwargs):
+            started.append(kwargs.get("basis") is not None)
+            return ours(c, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", record)
+        # _solve_lp raises unless its certificate passes
+        value, plan, _ = transport._solve_lp(cost, mu, nu)
+        assert started == ([False] if least is None else [False, True])
+        if cost.size <= 12:  # the oracle enumerates C(size, nr + nc - 1) trees
+            # a forcing row's mass may be left off the plan (HiGHS's
+            # feasibility tolerance), which moves the value by at most
+            # that mass times the largest cost
+            miss = np.abs(plan.sum(axis=1) - mu).sum() + \
+                np.abs(plan.sum(axis=0) - nu).sum()
+            want = polytope_vertex_minimum(cost, mu, nu)
+            assert abs(value - want) <= 1e-12 * want + miss * cost.max()
+        else:  # scipy's linprog, presolve on
+            want = _scipy_linprog(cost.ravel(), transport._transport_csc(nr, nc),
+                                  np.concatenate([mu, nu[:-1]])).fun
+            assert abs(value - want) <= 1e-12 * want
 
 
 @st.composite
@@ -658,12 +742,9 @@ class TestMongeClosedForm:
     def test_closed_form_is_the_optimum(self, inputs):
         c, a, b = _kept(*inputs)
         # at p very near 1, rounding can leave a block not strictly Monge
-        assume(_goes_closed_form(c))
-        res, calls = _kernel(c, a, b)
-        assert calls == 0 and res.success
-        plan, value = res.x.reshape(c.shape), res.fun
-        u = res.eqlin.marginals[:len(a)]
-        v = np.append(res.eqlin.marginals[len(a):], 0.0)
+        assume(transport._strictly_monge(c))
+        (value, plan, u, v), calls = _kernel(c, a, b)
+        assert calls == 0
         reduced = c - u[:, None] - v
         # its own certificate, to rounding: a plan on the marginals, and
         # duals that are feasible and slack where the plan is not 0
@@ -681,7 +762,7 @@ class TestMongeClosedForm:
             return
         highs = transport.linprog(
             c.ravel(), A_eq=transport._transport_csc(*c.shape),
-            b_eq=np.concatenate([a, b[:-1]]), presolve=False)
+            b_eq=np.concatenate([a, b[:-1]]))
         if not highs.success:
             return
         other = np.maximum(highs.x.reshape(c.shape), 0.0)
@@ -691,8 +772,7 @@ class TestMongeClosedForm:
         # the marginals by miss_a and miss_b costs at least this much
         bound = value - np.abs(u) @ miss_a - np.abs(v) @ miss_b
         assert (c * other).sum() >= bound - 1e-12 * (value + c.max())
-        hu = highs.eqlin.marginals[:len(a)]
-        hv = np.append(highs.eqlin.marginals[len(a):], 0.0)
+        hu, hv = transport._duals(highs, len(a))
         meets = (np.all(miss_a <= np.minimum(1e-14, 1e-9 * a))
                  and np.all(miss_b <= np.minimum(1e-14, 1e-9 * b)))
         if meets and (c - hu[:, None] - hv).min() >= -1e-12 * c.max():
@@ -711,13 +791,13 @@ class TestMongeClosedForm:
         k = 10.0 ** log_k
         c, a, b = _kept(d, mu, nu, p)
         scaled = _kept(k * d, mu, nu, p)[0]
-        assume(_goes_closed_form(c) and _goes_closed_form(scaled))
-        res, _ = _kernel(c, a, b)
-        res_k, calls = _kernel(scaled, a, b)
+        assume(transport._strictly_monge(c) and transport._strictly_monge(scaled))
+        opt, _ = _kernel(c, a, b)
+        opt_k, calls = _kernel(scaled, a, b)
         assert calls == 0
         # the plan does not read the cost, only its Monge property
-        assert np.array_equal(res_k.x, res.x)
-        w, w_k = res.fun ** (1.0 / p), res_k.fun ** (1.0 / p)
+        assert np.array_equal(opt_k.plan, opt.plan)
+        w, w_k = opt.value ** (1.0 / p), opt_k.value ** (1.0 / p)
         assert abs(w_k - k * w) <= 1e-12 * k * w
 
     @given(line_inputs(), st.booleans())
@@ -751,8 +831,8 @@ class TestMongeClosedForm:
         # at k = 1e6 the duals reach 1e12, and their rounding alone is
         # above the certificate's absolute 1e-7, so _solve_lp refuses the
         # answer; the plan is still the same
-        res = transport._transport_lp((1e6 * line.space.dist) ** 2, mu, nu)
-        assert np.array_equal(res.x.reshape(line.n, line.n), coupling.matrix)
+        opt = transport._transport_lp((1e6 * line.space.dist) ** 2, mu, nu)
+        assert np.array_equal(opt.plan, coupling.matrix)
 
 
 def _counted_column_generation(mp):
@@ -798,14 +878,12 @@ class TestColumnGeneration:
     @settings(max_examples=150, deadline=None)
     def test_value_and_support_match_the_dense_solve(self, inputs):
         c, a, b = _kept(*inputs)
-        res = transport._column_generation(c, a, b)
-        assume(res is not None)
-        value, plan = res.fun, res.x.reshape(c.shape)
-        u = res.eqlin.marginals[:len(a)]
-        v = np.append(res.eqlin.marginals[len(a):], 0.0)
+        opt = transport._column_generation(c, a, b)
+        assume(opt is not None)
+        value, plan, u, v = opt
         dense = transport.linprog(
             c.ravel(), A_eq=transport._transport_csc(*c.shape),
-            b_eq=np.concatenate([a, b[:-1]]), presolve=False)
+            b_eq=np.concatenate([a, b[:-1]]))
         if not dense.success:
             return
         other = np.maximum(dense.x.reshape(c.shape), 0.0)
@@ -815,8 +893,7 @@ class TestColumnGeneration:
         # miss_b costs at least this much
         bound = value - np.abs(u) @ miss_a - np.abs(v) @ miss_b
         assert (c * other).sum() >= bound - 1e-12 * (abs(value) + c.max())
-        hu = dense.eqlin.marginals[:len(a)]
-        hv = np.append(dense.eqlin.marginals[len(a):], 0.0)
+        hu, hv = transport._duals(dense, len(a))
         meets = (np.all(miss_a <= np.minimum(1e-14, 1e-9 * a))
                  and np.all(miss_b <= np.minimum(1e-14, 1e-9 * b)))
         if meets and (c - hu[:, None] - hv).min() >= -1e-12 * c.max():
@@ -832,32 +909,29 @@ class TestColumnGeneration:
         from scipy.sparse import coo_array
         from scipy.sparse.csgraph import connected_components
         c, a, b = _kept(*inputs)
-        res = transport._column_generation(c, a, b)
-        assume(res is not None)
+        opt = transport._column_generation(c, a, b)
+        assume(opt is not None)
         nr, nc = c.shape
-        cols, rows = res.basis
-        assert not (rows == 1).any()  # no row logical in the basis
-        i, j = np.divmod(np.flatnonzero(cols == 1), nc)
+        # the tree: the cells that the duals price tight
+        reduced = c - opt.u[:, None] - opt.v
+        scale = np.abs(c).max()
+        tree = np.abs(reduced) <= 1e-12 * scale
+        i, j = np.nonzero(tree)
         assert len(i) == nr + nc - 1
         graph = coo_array((np.ones(len(i)), (i, nr + j)),
                           shape=(nr + nc, nr + nc))
         assert connected_components(graph, directed=False)[0] == 1
-        plan = res.x.reshape(nr, nc)
-        assert plan.min() >= 0 and not plan.ravel()[cols == 0].any()
+        plan = opt.plan
+        assert plan.min() >= 0 and not plan[~tree].any()
         assert np.abs(plan.sum(axis=1) - a).max() <= 1e-14
         assert np.abs(plan.sum(axis=0) - b).max() <= 1e-14
-        # no tight cell off the tree: the plan is the one optimum
-        u = res.eqlin.marginals[:nr]
-        v = np.append(res.eqlin.marginals[nr:], 0.0)
-        reduced = (c - u[:, None] - v).ravel()
-        scale = np.abs(c).max()
-        assert np.abs(reduced[cols == 1]).max() <= 1e-12 * scale
-        assert reduced[cols == 0].min() > (transport._CG_UNIQUE - 1e-12) * scale
+        # no cell off the tree near tight: the plan is the one optimum
+        assert reduced[~tree].min() > (transport._CG_UNIQUE - 1e-12) * scale
         if c.size <= 12:  # the oracle enumerates C(c.size, nr + nc - 1) trees
             want = polytope_vertex_minimum(c, a, b)
             # an optimum of 0 rounds to either sign (see TestMongeClosedForm)
             small = want <= 1e-12 * scale
-            assert abs(res.fun - want) <= 1e-12 * (scale if small else abs(want))
+            assert abs(opt.value - want) <= 1e-12 * (scale if small else abs(want))
 
     @given(transport_inputs(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -965,8 +1039,7 @@ class TestColumnGeneration:
         scale = cost.max()
         dense = transport.linprog(
             (cost / scale).ravel(), A_eq=transport._transport_csc(n, n),
-            b_eq=np.concatenate([mu, nu[:-1]]), presolve=False,
-            tolerance=transport._CG_HIGHS_TOL)
+            b_eq=np.concatenate([mu, nu[:-1]]), tolerance=transport._CG_HIGHS_TOL)
         assert abs(value - dense.fun * scale) <= 1e-12 * value
         assert np.array_equal(plan > PLAN_TOL, dense.x.reshape(n, n) > PLAN_TOL)
 
