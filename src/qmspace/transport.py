@@ -7,7 +7,7 @@ problems also expose the Kantorovich-Rubinstein dual over asymmetric
 1-Lipschitz potentials f(y) - f(x) <= d(x, y).
 
 Every LP goes through ``_solve_lp``, which drops the points without
-mass, hands the rest to ``_transport_lp`` (its docstring gives the four
+mass, hands the rest to ``_transport_lp`` (its docstring gives the
 routes, each of which returns an ``_Optimum``) and certifies the answer.
 HiGHS runs through ``linprog``, with the options of
 ``scipy.optimize.linprog(method="highs")`` and presolve off.  The
@@ -185,12 +185,15 @@ class _CSC(NamedTuple):
 class _Optimum(NamedTuple):
     """A transport LP's optimum: its value, the nr x nc plan, the row
     duals u (nr entries) and the column duals v (nc entries, v[-1] = 0),
-    with u[i] + v[j] <= c[i, j] and equality where the plan is not 0."""
+    with u[i] + v[j] <= c[i, j] and equality where the plan is not 0.
+    ``basis`` is the optimal basis where HiGHS found one, in ``linprog``'s
+    form: int8 statuses of the nr * nc cells, then of the LP's rows."""
 
     value: float
     plan: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    basis: tuple | None = None
 
 
 def _highs_model(c, a: _CSC, b_eq, tolerance=None):
@@ -326,62 +329,67 @@ def _duals(res, nr: int):
     return y[:nr], np.append(y[nr:], 0.0)
 
 
-def _optimal(res):
-    """``res``, if HiGHS found it optimal; SpaceError otherwise."""
-    if not res.success:
-        raise SpaceError(f"transport LP failed: {res.message}")
-    return res
-
-
 def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
     """The ``_Optimum`` of min <c, x> over x >= 0 with row sums a and
     column sums b (all positive); SpaceError if HiGHS finds none.
 
-    The first of four routes that applies solves it:
+    The first of three routes that applies solves it:
 
     - a strictly Monge cost (``_strictly_monge``; every finite cost with
       one row or column is one) goes to ``_monge_lp``'s closed form;
-    - an LP with at least three rows and columns, no forcing row and no
-      two equal positive costs (``_tries_column_generation``) goes to
-      ``_column_generation`` (after the shortlist method of Gottschlich
-      and Schuhmacher 2014), and on to the routes below if that does not
-      prove its plan to be the only optimum.  It is not tried with
-      forcing rows, so that their answers stay those of presolve, nor
-      with tied costs, whose optimum is rarely unique (cd-check's grids);
     - an LP with forcing rows (masses at or below PRESOLVE_MASS; nu's
       last entry has no row) is reduced as HiGHS presolve would, in far
-      less time: the LP without those rows and their columns is solved,
-      ``_forcing_basis`` completes its basis as HiGHS's postsolve does,
-      and the full LP starts from that basis;
-    - every other LP goes whole to ``linprog``.
+      less time: the LP without those rows and their columns is solved
+      as below, ``_forcing_basis`` completes its basis as HiGHS's
+      postsolve does, and the full LP starts from that basis;
+    - every other LP is solved as below.
+
+    An LP with at least three rows and columns and no two equal positive
+    costs (``_tries_column_generation``) goes to ``_column_generation``
+    (after the shortlist method of Gottschlich and Schuhmacher 2014).  If
+    that does not prove its plan to be the only optimum, or is not tried
+    (tied costs, whose optimum is rarely unique: cd-check's grids), the LP
+    goes whole to ``linprog``.  Where that dense solve ends on the optimum
+    and no cell of its basis carries 0, its basis is the accepted tree, and
+    the full LP of a forcing-row LP starts from the same completed basis
+    either way, unless the duals, equal to rounding, settle a near-tie of
+    ``_forcing_basis`` differently.  Where the dense solve stops early
+    (costs near 1e-6, below HiGHS's absolute 1e-7 tolerances), the tree
+    starts the full LP nearer the optimum.
 
     HiGHS presolve never runs.  With at least three rows and columns left
-    after the reduction, the answer is bitwise that of presolve on: on
+    after the reduction, the dense path's answer (column generation off)
+    is bitwise that of presolve on: on
     every such LP tested (``TestPresolveRule``, every seed-0 LP of the
     perfbench workloads; HiGHS 1.12) the numpy reduction was HiGHS's
     presolved LP, and presolve made no other.  With two rows or columns
     presolve also removes doubleton rows, and the answers differ in the
     last bits.  ``_solve_lp``'s certificate checks every route.
     """
-    nr, nc = c.shape
     if _strictly_monge(c):
         return _monge_lp(c, a, b)
-    if _tries_column_generation(c, a, b):
-        opt = _column_generation(c, a, b)
-        if opt is not None:
-            return opt
     keep_r = a > PRESOLVE_MASS
     keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
-    basis = None
-    if not (keep_r.all() and keep_c.all()):
-        kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
-        res = _optimal(linprog(c[np.ix_(kr, kc)].ravel(),
-                               A_eq=_transport_csc(len(kr), len(kc)),
-                               b_eq=np.concatenate([a[kr], b[kc[:-1]]])))
-        basis = _forcing_basis(c, res, keep_r, keep_c)
-    res = _optimal(linprog(c.ravel(), A_eq=_transport_csc(nr, nc),
-                           b_eq=np.concatenate([a, b[:-1]]), basis=basis))
-    return _Optimum(res.fun, res.x.reshape(nr, nc), *_duals(res, nr))
+    forcing = not (keep_r.all() and keep_c.all())
+    lp = (c[np.ix_(keep_r, keep_c)], a[keep_r], b[keep_c]) if forcing else (c, a, b)
+    opt = _column_generation(*lp) if _tries_column_generation(lp[0]) else None
+    if opt is None:
+        opt = _dense_lp(*lp)
+    if not forcing:
+        return opt
+    return _dense_lp(c, a, b, basis=_forcing_basis(c, opt, keep_r, keep_c))
+
+
+def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None) -> _Optimum:
+    """The ``_Optimum`` of the transport LP of ``_transport_lp`` over every
+    cell, solved by ``linprog`` (from ``basis`` if given); SpaceError if
+    HiGHS does not find it optimal."""
+    nr, nc = c.shape
+    res = linprog(c.ravel(), A_eq=_transport_csc(nr, nc),
+                  b_eq=np.concatenate([a, b[:-1]]), basis=basis)
+    if not res.success:
+        raise SpaceError(f"transport LP failed: {res.message}")
+    return _Optimum(res.fun, res.x.reshape(nr, nc), *_duals(res, nr), res.basis)
 
 
 def _strictly_monge(c: np.ndarray) -> bool:
@@ -394,13 +402,12 @@ def _strictly_monge(c: np.ndarray) -> bool:
     return strict(c[:2]) and strict(c) and bool(np.isfinite(c).all())
 
 
-def _tries_column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``_transport_lp`` tries column generation on the LP of
-    cost c and masses a, b: at least three rows and columns, no forcing
-    row (every mass above PRESOLVE_MASS but nu's last, which has no row)
-    and no two equal positive costs."""
-    return (min(c.shape) >= 3 and bool((a > PRESOLVE_MASS).all())
-            and bool((b[:-1] > PRESOLVE_MASS).all()) and _distinct_costs(c))
+def _tries_column_generation(c: np.ndarray) -> bool:
+    """Whether ``_transport_lp`` tries column generation on an LP of cost
+    c without forcing rows (the full LP, or the one the forcing-row
+    reduction leaves): at least three rows and columns and no two equal
+    positive costs."""
+    return min(c.shape) >= 3 and _distinct_costs(c)
 
 
 def _distinct_costs(c: np.ndarray) -> bool:
@@ -443,7 +450,8 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     scaled cost.  Then the plan meets the masses to rounding and is the
     only optimal plan of the full LP: any other feasible plan puts mass on
     a cell off the tree and costs more.  So the pivots HiGHS takes on the
-    way do not change an accepted answer beyond rounding.
+    way do not change an accepted answer beyond rounding.  Its basis is
+    that tree, with every row logical nonbasic.
     """
     nr, nc = c.shape
     scale = np.abs(c).max()
@@ -485,7 +493,10 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         return None
     x = np.zeros(nr * nc)
     x[cells] = res.x
-    return _Optimum(res.fun * scale, x.reshape(nr, nc), u * scale, v * scale)
+    cols = np.zeros(nr * nc, dtype=np.int8)
+    cols[cells[tree]] = 1
+    return _Optimum(res.fun * scale, x.reshape(nr, nc), u * scale, v * scale,
+                    (cols, res.basis[1]))
 
 
 def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
@@ -555,11 +566,12 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray):
     return rows, cols, mass
 
 
-def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
+def _forcing_basis(c: np.ndarray, opt: _Optimum, keep_r: np.ndarray,
+                   keep_c: np.ndarray):
     """The basis of the full transport LP that HiGHS's forcing-row
-    postsolve builds from ``res``, ``linprog``'s optimum of the LP without
-    the forcing rows (those of ``~keep_r`` and ``~keep_c``) and their
-    columns, as (column, row) statuses.
+    postsolve builds from ``opt``, an optimum with a basis of the LP
+    without the forcing rows (those of ``~keep_r`` and ``~keep_c``) and
+    their columns, as (column, row) statuses.
 
     Each forcing row takes the reduced costs of its columns in kept rows
     and columns without its own dual: c - v for a mu row, c - u for a nu
@@ -573,11 +585,10 @@ def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
     nr, nc = c.shape
     kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
     fi, fj = np.flatnonzero(~keep_r), np.flatnonzero(~keep_c)
-    u, v = _duals(res, len(kr))
     cols = np.zeros((nr, nc), dtype=np.int8)
-    cols[np.ix_(kr, kc)] = res.basis[0].reshape(len(kr), len(kc))
+    cols[np.ix_(kr, kc)] = opt.basis[0].reshape(len(kr), len(kc))
     rows = np.ones(nr + nc - 1, dtype=np.int8)
-    rows[np.concatenate([kr, nr + kc[:-1]])] = res.basis[1]
+    rows[np.concatenate([kr, nr + kc[:-1]])] = opt.basis[1]
 
     def entering(reduced):
         # per forcing row (a row of reduced): the first least reduced
@@ -585,10 +596,10 @@ def _forcing_basis(c: np.ndarray, res, keep_r: np.ndarray, keep_c: np.ndarray):
         best = reduced.argmin(axis=1)
         return best, reduced[np.arange(len(best)), best] < 0
 
-    best, hit = entering(c[np.ix_(fi, kc)] - v)
+    best, hit = entering(c[np.ix_(fi, kc)] - opt.v)
     rows[fi[hit]] = 0
     cols[fi[hit], kc[best[hit]]] = 1
-    best, hit = entering(c[np.ix_(kr, fj)].T - u)
+    best, hit = entering(c[np.ix_(kr, fj)].T - opt.u)
     rows[nr + fj[hit]] = 0
     cols[kr[best[hit]], fj[hit]] = 1
     return cols.ravel(), rows

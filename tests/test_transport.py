@@ -229,6 +229,8 @@ class TestHighsBindings:
             tiny = rng.random(30) < 0.4
             m[tiny] = 10 ** rng.uniform(-12, -7, tiny.sum())
         mu, nu = mu / mu.sum(), nu / nu.sum()
+        # the dense fallback of the reduced LP, as in _dense
+        monkeypatch.setattr(transport, "_column_generation", lambda c, a, b: None)
         seen, plan = self._captured_lps(monkeypatch, space.dist ** 2, mu, nu)
         assert len(seen) == 2
         # the full LP, started from the basis completed after the reduced
@@ -464,8 +466,34 @@ def column_generation_inputs(draw):
             m[:3] = np.where(m[:3] > 0, m[:3], rng.uniform(0.1, 1.0, 3))
             m /= m.sum()
     cost = _not_monge(cost, mu, nu)
-    assert transport._tries_column_generation(*_kept(cost, mu, nu))
+    assert transport._tries_column_generation(_kept(cost, mu, nu)[0])
     assert not transport._strictly_monge(_kept(cost, mu, nu)[0])
+    return cost, mu, nu
+
+
+@st.composite
+def forcing_row_inputs(draw):
+    """(cost, mu, nu) whose LP has forcing rows and leaves an LP that
+    ``_transport_lp`` hands to column generation: closed quasi-metrics of
+    6 to 40 points, costs scaled by 1e-6 to 1e6, p = 1, 2, 3; mu or nu
+    has masses below HiGHS's feasibility tolerance, the other any shape
+    of ``transport_inputs``.  The first three points carry more mass,
+    so at least three rows and columns are kept."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(6, 40))
+    d = random_quasi_metric(rng, n).dist
+    cost = 10.0 ** draw(st.integers(-6, 6)) * d ** draw(st.sampled_from([1, 2, 3]))
+    below = draw(st.sampled_from(["mu", "nu", "both"]))
+    mu, nu = (_marginal(draw, rng, n, ["below"] if below in (side, "both")
+                        else MARGINAL_SHAPES)
+              for side in ("mu", "nu"))
+    for m in (mu, nu):
+        m[:3] = np.where(m[:3] > transport.PRESOLVE_MASS, m[:3],
+                         rng.uniform(0.1, 1.0, 3))
+        m /= m.sum()
+    _, a, b = _kept(cost, mu, nu)
+    assume((a <= transport.PRESOLVE_MASS).any()
+           or (b[:-1] <= transport.PRESOLVE_MASS).any())
     return cost, mu, nu
 
 
@@ -561,6 +589,8 @@ class TestPresolveRule:
         for m in (mu, nu):
             big = m > transport.PRESOLVE_MASS
             m[big] *= (1.0 - m[~big].sum()) / m[big].sum()
+        # the dense fallback of the reduced LP, as in _dense
+        monkeypatch.setattr(transport, "_column_generation", lambda c, a, b: None)
         seen, plan = TestHighsBindings._captured_lps(
             monkeypatch, random_quasi_metric(rng, n).dist ** 2, mu, nu)
         (c_small, a_small, b_small, _, small), (c, a_eq, b_eq, basis, full) = seen
@@ -743,7 +773,7 @@ class TestMongeClosedForm:
         c, a, b = _kept(*inputs)
         # at p very near 1, rounding can leave a block not strictly Monge
         assume(transport._strictly_monge(c))
-        (value, plan, u, v), calls = _kernel(c, a, b)
+        (value, plan, u, v, _), calls = _kernel(c, a, b)
         assert calls == 0
         reduced = c - u[:, None] - v
         # its own certificate, to rounding: a plan on the marginals, and
@@ -850,12 +880,13 @@ def _counted_column_generation(mp):
     return calls
 
 
-def _funk_sample(n):
-    """An n-point Funk sample with dense random marginals."""
+def _funk_sample(n, power=1):
+    """An n-point Funk sample with random marginals U^power: dense for
+    power 1, "skewed" for 4."""
     ms = sample(FunkBall(dim=2), SampleSpec(strategy="seeded-uniform",
                                             count=n, seed=7, clip_radius=1.0))
     rng = np.random.default_rng(7)
-    mu, nu = rng.random(n), rng.random(n)
+    mu, nu = rng.random(n) ** power, rng.random(n) ** power
     return ms, mu / mu.sum(), nu / nu.sum()
 
 
@@ -869,10 +900,16 @@ def funk300():
     return _funk_sample(300)
 
 
+@pytest.fixture(scope="module")
+def funk200_skewed():
+    return _funk_sample(200, power=4)
+
+
 class TestColumnGeneration:
-    """LPs with distinct costs and no forcing row are solved over a
-    growing set of cells, and the answer is kept only where it is the one
-    optimal plan; every other LP takes the dense path, bit for bit."""
+    """LPs with distinct costs, or the LP that the forcing-row reduction
+    leaves of them, are solved over a growing set of cells, and the
+    answer is kept only where it is the one optimal plan; every other LP
+    takes the dense path, bit for bit."""
 
     @given(column_generation_inputs())
     @settings(max_examples=150, deadline=None)
@@ -880,7 +917,7 @@ class TestColumnGeneration:
         c, a, b = _kept(*inputs)
         opt = transport._column_generation(c, a, b)
         assume(opt is not None)
-        value, plan, u, v = opt
+        value, plan, u, v, _ = opt
         dense = transport.linprog(
             c.ravel(), A_eq=transport._transport_csc(*c.shape),
             b_eq=np.concatenate([a, b[:-1]]))
@@ -933,16 +970,16 @@ class TestColumnGeneration:
             small = want <= 1e-12 * scale
             assert abs(opt.value - want) <= 1e-12 * (scale if small else abs(want))
 
-    @given(transport_inputs(), st.booleans())
+    @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_ties_and_forcing_rows_take_the_dense_path(self, inputs, tie):
+    def test_ties_take_the_dense_path(self, inputs):
+        # the tie is put among the rows and columns the forcing-row
+        # reduction keeps, so that the LP column generation would see has it
         cost, mu, nu = inputs
-        c, a, b = _kept(cost, mu, nu)
-        if tie:
-            cost = _tied(cost, mu, nu)
-        else:
-            assume((a <= transport.PRESOLVE_MASS).any()
-                   or (b[:-1] <= transport.PRESOLVE_MASS).any())
+        tol = transport.PRESOLVE_MASS
+        kept_nu = nu > tol
+        kept_nu[np.flatnonzero(nu)[-1]] = True  # nu's last mass has no row
+        cost = _tied(cost, mu > tol, kept_nu)
         with pytest.MonkeyPatch.context() as mp:
             calls = _counted_column_generation(mp)
             try:
@@ -951,6 +988,90 @@ class TestColumnGeneration:
                 got = str(exc)
         assert calls == []
         _assert_bitwise(got, _dense(cost, mu, nu))
+
+    @given(forcing_row_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_forcing_rows_attempt_the_reduced_lp(self, inputs):
+        # one attempt, on the LP without the forcing rows and their
+        # columns.  Where its basis completes to the full LP's start that
+        # the dense reduced LP's completes to, the answer is bitwise the
+        # dense path's.  (The completion reads the duals too, which
+        # column generation scales back from the scaled cost, so the same
+        # reduced basis can complete differently at a near-tie.)
+        cost, mu, nu = inputs
+        c, a, b = _kept(cost, mu, nu)
+        assume(not transport._strictly_monge(c))
+        keep_r = a > transport.PRESOLVE_MASS
+        keep_c = np.append(b[:-1] > transport.PRESOLVE_MASS, True)
+        attempts, starts = [], []
+        ours, completion = transport._column_generation, transport._forcing_basis
+
+        def recorded(*lp):
+            attempts.append(lp[0].shape)
+            return ours(*lp)
+
+        def completed(*args):
+            starts.append(completion(*args))
+            return starts[-1]
+
+        def solved():
+            try:
+                return transport._solve_lp(cost, mu, nu)
+            except SpaceError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "_column_generation", recorded)
+            mp.setattr(transport, "_forcing_basis", completed)
+            got = solved()
+            mp.setattr(transport, "_column_generation", lambda c, a, b: None)
+            dense = solved()
+        assert attempts == [(keep_r.sum(), keep_c.sum())]
+        if len(starts) == 2 and all(np.array_equal(x, y) for x, y in zip(*starts)):
+            _assert_bitwise(got, dense)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_skewed_funk_sample_keeps_its_bits(self, funk200_skewed, p,
+                                               backward):
+        # U^4 masses put 14 rows and 6 columns at or below PRESOLVE_MASS.
+        # Column generation solves the LP without them, and its tree
+        # starts the full LP as the dense reduced LP's basis did, so the
+        # answer is bitwise the dense path's.  Every case still drifts
+        # off the marginals (ROADMAP item 2), and the drift is kept too.
+        ms, mu, nu = funk200_skewed
+        if backward:
+            mu, nu = nu, mu
+        cost = ms.space.dist ** p
+        with pytest.MonkeyPatch.context() as mp:
+            attempts = _counted_column_generation(mp)
+            got = transport._solve_lp(cost, mu, nu)
+        assert attempts == [True]
+        _assert_bitwise(got, _dense(cost, mu, nu))
+        plan = got[1]
+        drift = max(np.abs(plan.sum(axis=1) - mu).max(),
+                    np.abs(plan.sum(axis=0) - nu).max())
+        assert drift > transport.MARGINAL_TOL
+
+    def test_rescaled_forcing_row_lp_is_optimal(self):
+        # costs of about 1e-6 sit below HiGHS's absolute 1e-7 tolerances:
+        # the dense reduced LP stops early, and the full LP, started from
+        # its basis, ends 6.1e-2 above the optimum.  Column generation
+        # solves the reduced LP on the cost divided by its largest entry.
+        rng = np.random.default_rng(40)
+        cost = 1e-6 * random_quasi_metric(rng, 4).dist ** 2
+        mu, nu = rng.random(4) + 0.1, rng.random(4) + 0.1
+        mu[0], nu[1] = 3e-8, 2e-9  # a forcing row on each side
+        for m in (mu, nu):
+            big = m > transport.PRESOLVE_MASS
+            m[big] *= (1.0 - m[~big].sum()) / m[big].sum()
+        with pytest.MonkeyPatch.context() as mp:
+            attempts = _counted_column_generation(mp)
+            value, _, _ = transport._solve_lp(cost, mu, nu)
+        assert attempts == [True]
+        assert value != _dense(cost, mu, nu)[0]  # the answer moved
+        want = polytope_vertex_minimum(cost, mu, nu)
+        assert abs(value - want) <= 1e-7 * want
 
     @given(column_generation_inputs())
     @settings(max_examples=50, deadline=None)
