@@ -341,7 +341,11 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
       last entry has no row) is reduced as HiGHS presolve would, in far
       less time: the LP without those rows and their columns is solved
       as below, ``_forcing_basis`` completes its basis as HiGHS's
-      postsolve does, and the full LP starts from that basis;
+      postsolve does, and the full LP starts from that basis.  Where the
+      dropped masses of mu outweigh those of nu and nu's last mass by
+      more than HiGHS's tolerance, the LP without them is infeasible
+      (HiGHS presolve then calls the whole LP infeasible): the full LP
+      goes whole to ``linprog``;
     - every other LP is solved as below.
 
     An LP with at least three rows and columns and no two equal positive
@@ -359,7 +363,7 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
 
     HiGHS presolve never runs.  With at least three rows and columns left
     after the reduction, the dense path's answer (column generation off)
-    is bitwise that of presolve on: on
+    is bitwise that of presolve on, where presolve finds an optimum: on
     every such LP tested (``TestPresolveRule``, every seed-0 LP of the
     perfbench workloads; HiGHS 1.12) the numpy reduction was HiGHS's
     presolved LP, and presolve made no other.  With two rows or columns
@@ -370,14 +374,22 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
         return _monge_lp(c, a, b)
     keep_r = a > PRESOLVE_MASS
     keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
-    forcing = not (keep_r.all() and keep_c.all())
-    lp = (c[np.ix_(keep_r, keep_c)], a[keep_r], b[keep_c]) if forcing else (c, a, b)
-    opt = _column_generation(*lp) if _tries_column_generation(lp[0]) else None
-    if opt is None:
-        opt = _dense_lp(*lp)
-    if not forcing:
-        return opt
+    if keep_r.all() and keep_c.all():
+        return _column_generation_or_dense(c, a, b)
+    try:
+        opt = _column_generation_or_dense(c[np.ix_(keep_r, keep_c)], a[keep_r],
+                                          b[keep_c])
+    except SpaceError:
+        return _dense_lp(c, a, b)
     return _dense_lp(c, a, b, basis=_forcing_basis(c, opt, keep_r, keep_c))
+
+
+def _column_generation_or_dense(c: np.ndarray, a: np.ndarray,
+                                b: np.ndarray) -> _Optimum:
+    """The ``_Optimum`` of ``_column_generation`` where it is tried and
+    accepted, of ``_dense_lp`` otherwise."""
+    opt = _column_generation(c, a, b) if _tries_column_generation(c) else None
+    return opt if opt is not None else _dense_lp(c, a, b)
 
 
 def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None) -> _Optimum:

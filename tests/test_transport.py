@@ -529,6 +529,14 @@ def _presolved(cost, mu, nu):
             return str(exc)
 
 
+def _whole(cost, mu, nu):
+    """``_dense``'s answer with the forcing-row reduction turned off, so
+    that the LP goes whole to linprog."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "PRESOLVE_MASS", 0.0)
+        return _dense(cost, mu, nu)
+
+
 def _assert_bitwise(got, want):
     if isinstance(want, str):
         assert got == want
@@ -579,7 +587,12 @@ class TestPresolveRule:
         # LPs it would answer are checked on the dense path too.
         assume(_three_kept(*inputs))
         assume(not transport._strictly_monge(_kept(*inputs)[0]))
-        _assert_bitwise(_dense(*inputs), _presolved(*inputs))
+        got, want = _dense(*inputs), _presolved(*inputs)
+        if want == "transport LP failed: Infeasible" and got != want:
+            # presolve's reduced LP, which is ours, is infeasible beyond
+            # HiGHS's tolerance; _transport_lp then solves the LP whole
+            want = _whole(*inputs)
+        _assert_bitwise(got, want)
 
     def test_reduction_is_highs_presolved_lp(self, monkeypatch, rng):
         # forcing rows on both sides, and nu's last entry, which has no row
@@ -613,6 +626,28 @@ class TestPresolveRule:
         assert np.array_equal(full.eqlin.marginals, whole.eqlin.marginals)
         assert full.fun == whole.fun
         assert np.array_equal(plan, whole.x.reshape(n, n))
+
+    def test_infeasible_reduction_solves_the_lp_whole(self, monkeypatch, rng):
+        # mu's forcing rows carry 1.8e-7 and nu's last entry 1e-10, so the
+        # LP without those rows leaves -1.8e-7 to nu's last column: HiGHS
+        # calls it infeasible, and presolve calls the whole LP so
+        n = 8
+        mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
+        mu[[3, 5]], nu[-1] = 0.9e-7, 1e-10
+        mu[mu > 1e-7] *= (1.0 - 1.8e-7) / mu[mu > 1e-7].sum()
+        nu[:-1] *= (1.0 - 1e-10) / nu[:-1].sum()
+        cost = random_quasi_metric(rng, n).dist ** 2
+        assert not transport._strictly_monge(cost)
+        assert _presolved(cost, mu, nu) == "transport LP failed: Infeasible"
+        monkeypatch.setattr(transport, "_column_generation", lambda c, a, b: None)
+        seen, _ = TestHighsBindings._captured_lps(monkeypatch, cost, mu, nu)
+        (c_small, _, _, _, small), (c, _, _, basis, _) = seen
+        assert not small.success and basis is None
+        assert (len(c_small), len(c)) == ((n - 2) * n, n * n)
+        monkeypatch.undo()
+        # _solve_lp raises unless its certificate passes
+        _assert_bitwise(transport._solve_lp(cost, mu, nu),
+                        _whole(cost, mu, nu))
 
     def test_last_nu_mass_is_no_forcing_row(self, monkeypatch, rng):
         # nu's last constraint is the redundant one left out of the LP
