@@ -67,6 +67,25 @@ VOLUME_ORDERS = (64, 128)
 VOLUME_TOL = 1e-8
 
 
+def _bounds(K: float, N: float) -> None:
+    """Check a curvature bound K and a dimension bound N.
+
+    The one check of (K, N): every routine that takes them calls it, or
+    builds a ``DistortionParams``, which does.  K must be finite and N at
+    least 1, math.inf included; NaN fails both.  Routines that need a
+    finite N > 1 check that themselves.
+    """
+    if not math.isfinite(K):
+        raise SpaceError(f"curvature bound K must be finite, got {K}")
+    if not N >= 1:  # also true for NaN
+        raise SpaceError(f"N must be >= 1, got {N}")
+
+
+def _cutoff(K: float, N: float) -> float:
+    """The diameter pi sqrt((N-1)/K) of the (K, N) model space, K > 0."""
+    return math.pi * math.sqrt((N - 1) / K)
+
+
 def s_kn(K: float, N: float, r: float) -> float:
     """Comparison profile of the constant-curvature model space.
 
@@ -76,10 +95,11 @@ def s_kn(K: float, N: float, r: float) -> float:
     """
     if not (N > 1) or N == INF:
         raise SpaceError("s_kn needs finite N > 1")
+    _bounds(K, N)
     if r < 0:
         raise SpaceError("radius must be nonnegative")
     if K > 0:
-        cutoff = math.pi * math.sqrt((N - 1) / K)
+        cutoff = _cutoff(K, N)
         if r > cutoff + 1e-15:
             raise SpaceError(f"radius {r} beyond model cutoff {cutoff}")
         return math.sqrt((N - 1) / K) * math.sin(r * math.sqrt(K / (N - 1)))
@@ -99,8 +119,7 @@ class DistortionParams:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise SpaceError("t must lie in [0, 1]")
-        if self.N < 1:
-            raise SpaceError("N must be >= 1")
+        _bounds(self.K, self.N)
 
 
 def beta(params: DistortionParams, dxy: float) -> float:
@@ -118,7 +137,7 @@ def beta(params: DistortionParams, dxy: float) -> float:
     if N == 1.0:
         # limit N -> 1: the cutoff radius shrinks to 0 for K > 0
         return INF if K > 0 else 1.0
-    if K > 0 and dxy >= math.pi * math.sqrt((N - 1) / K):
+    if K > 0 and dxy >= _cutoff(K, N):
         return INF
     if K == 0:
         return 1.0
@@ -200,7 +219,10 @@ def dcn_membership(U: Nonlinearity, N: float, r_grid) -> FunctionalReport:
     min(p2 + p/N), or -sqrt(DCN_TOL) times the largest drop of that ratio,
     so the drop passes up to sqrt(DCN_TOL); ``details`` keeps both.
     """
+    _bounds(0.0, N)  # the class has no curvature bound
     rs = np.asarray(sorted(r_grid), dtype=float)
+    if rs.size == 0:
+        raise SpaceError("r grid must not be empty")
     if np.any(rs <= 0):
         raise SpaceError("r grid must be positive")
     p = np.array([U.p(r) for r in rs])
@@ -302,6 +324,7 @@ def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
     perturbs mu_t at first order in the sampling pitch).  A negative slack
     falsifies the canonical plan only, not the space.
     """
+    _bounds(K, N)
     nu = mspace.weights
     tol = _tolerance("cd", _pitch(mspace.space))
     space = mspace.space
@@ -359,6 +382,7 @@ def brunn_minkowski_check(mspace: MeasuredSpace, A0, A1, t: float,
     """
     if not 0.0 < t < 1.0:
         raise SpaceError("t must lie strictly between 0 and 1")
+    _bounds(K, N)
     bary, A0, A1 = _barycenter_set(mspace, A0, A1, t)
     nu = mspace.weights
     d = mspace.space.dist
@@ -422,7 +446,7 @@ def _model_volume(K: float, N: float, r: float) -> float:
     sk = np.sin if K > 0 else np.sinh
     q = math.ceil(4.0 / N)
     parts = [(1.0, r)]
-    cutoff = math.pi * math.sqrt((N - 1) / K) if K > 0 else INF
+    cutoff = _cutoff(K, N) if K > 0 else INF
     if 2.0 * r > cutoff:  # past the top of the sine
         parts = [(2.0, cutoff / 2.0), (-1.0, max(cutoff - r, 0.0))]
     values = []
@@ -450,6 +474,7 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     must be nonincreasing; violations beyond the grid tolerance are
     reported.
     """
+    _bounds(K, N)
     if N == INF or N <= 1:
         raise SpaceError("profile needs finite N > 1")
     radii = [float(r) for r in radii]
@@ -460,7 +485,7 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     if not radii[0] >= 0:
         raise SpaceError("radius must be nonnegative")
     if K > 0:
-        cutoff = math.pi * math.sqrt((N - 1) / K)
+        cutoff = _cutoff(K, N)
         if radii[-1] > cutoff:
             raise SpaceError(f"radius {radii[-1]} beyond model cutoff {cutoff}")
     nu = mspace.weights
@@ -534,6 +559,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
     neighbors within default_hop_radius (1.5 * pitch), the hops of the
     transport chains; tolerances are in ``core._tolerance``.
     """
+    _bounds(K, N)
     ms = mspace.normalized()
     nu = ms.weights
     pitch = _pitch(ms.space)
@@ -542,7 +568,7 @@ def functional_inequality_suite(mspace: MeasuredSpace, K: float, N: float,
 
     support = np.nonzero(nu > 0)[0]
     if K > 0 and N != INF and N > 1:
-        bound = math.pi * math.sqrt((N - 1) / K)
+        bound = _cutoff(K, N)
         diam = float(ms.space.dist[np.ix_(support, support)].max())
         rep = FunctionalReport(
             name=f"diameter[K={K},N={N:g}]",

@@ -186,8 +186,9 @@ class _Optimum(NamedTuple):
     """A transport LP's optimum: its value, the nr x nc plan, the row
     duals u (nr entries) and the column duals v (nc entries, v[-1] = 0),
     with u[i] + v[j] <= c[i, j] and equality where the plan is not 0.
-    ``basis`` is the optimal basis where HiGHS found one, in ``linprog``'s
-    form: int8 statuses of the nr * nc cells, then of the LP's rows."""
+    ``basis`` is column generation's accepted tree, in ``linprog``'s
+    form: int8 statuses of the nr * nc cells, then of the LP's rows; None
+    on the other routes."""
 
     value: float
     plan: np.ndarray
@@ -333,63 +334,37 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
     """The ``_Optimum`` of min <c, x> over x >= 0 with row sums a and
     column sums b (all positive); SpaceError if HiGHS finds none.
 
-    The first of three routes that applies solves it:
+    A strictly Monge cost (``_strictly_monge``; every finite cost with
+    one row or column is one) goes to ``_monge_lp``'s closed form.
 
-    - a strictly Monge cost (``_strictly_monge``; every finite cost with
-      one row or column is one) goes to ``_monge_lp``'s closed form;
-    - an LP with forcing rows (masses at or below PRESOLVE_MASS; nu's
-      last entry has no row) is reduced as HiGHS presolve would, in far
-      less time: the LP without those rows and their columns is solved
-      as below, ``_forcing_basis`` completes its basis as HiGHS's
-      postsolve does, and the full LP starts from that basis.  Where the
-      dropped masses of mu outweigh those of nu and nu's last mass by
-      more than HiGHS's tolerance, the LP without them is infeasible
-      (HiGHS presolve then calls the whole LP infeasible): the full LP
-      goes whole to ``linprog``;
-    - every other LP is solved as below.
+    Any other LP first drops its forcing rows (masses at or below
+    PRESOLVE_MASS; nu's last entry has no row) and their columns, as
+    HiGHS presolve would.  What is left goes to ``_column_generation``
+    (after the shortlist method of Gottschlich and Schuhmacher 2014)
+    where ``_tries_column_generation`` says so.  An accepted plan is the
+    answer if no forcing row was dropped; otherwise ``_forcing_basis``
+    completes its tree as HiGHS's postsolve would, and ``linprog`` solves
+    the full LP from that basis.
 
-    An LP with at least three rows and columns and no two equal positive
-    costs (``_tries_column_generation``) goes to ``_column_generation``
-    (after the shortlist method of Gottschlich and Schuhmacher 2014).  If
-    that does not prove its plan to be the only optimum, or is not tried
-    (tied costs, whose optimum is rarely unique: cd-check's grids), the LP
-    goes whole to ``linprog``.  Where that dense solve ends on the optimum
-    and no cell of its basis carries 0, its basis is the accepted tree, and
-    the full LP of a forcing-row LP starts from the same completed basis
-    either way, unless the duals, equal to rounding, settle a near-tie of
-    ``_forcing_basis`` differently.  Where the dense solve stops early
-    (costs near 1e-6, below HiGHS's absolute 1e-7 tolerances), the tree
-    starts the full LP nearer the optimum.
-
-    HiGHS presolve never runs.  With at least three rows and columns left
-    after the reduction, the dense path's answer (column generation off)
-    is bitwise that of presolve on, where presolve finds an optimum: on
-    every such LP tested (``TestPresolveRule``, every seed-0 LP of the
-    perfbench workloads; HiGHS 1.12) the numpy reduction was HiGHS's
-    presolved LP, and presolve made no other.  With two rows or columns
-    presolve also removes doubleton rows, and the answers differ in the
-    last bits.  ``_solve_lp``'s certificate checks every route.
+    In every other case the full LP goes to ``_dense_lp`` once, without a
+    start basis: tied costs (whose optimum is rarely unique: cd-check's
+    grids), an attempt that is refused or not tried, and a reduced LP
+    that the attempt finds infeasible (the dropped masses of mu outweigh
+    those of nu and nu's last mass by more than _CG_HIGHS_TOL).  HiGHS
+    presolve never runs.  ``_solve_lp``'s certificate checks every route.
     """
     if _strictly_monge(c):
         return _monge_lp(c, a, b)
     keep_r = a > PRESOLVE_MASS
     keep_c = np.append(b[:-1] > PRESOLVE_MASS, True)
-    if keep_r.all() and keep_c.all():
-        return _column_generation_or_dense(c, a, b)
-    try:
-        opt = _column_generation_or_dense(c[np.ix_(keep_r, keep_c)], a[keep_r],
-                                          b[keep_c])
-    except SpaceError:
+    kept = c[np.ix_(keep_r, keep_c)]
+    opt = (_column_generation(kept, a[keep_r], b[keep_c])
+           if _tries_column_generation(kept) else None)
+    if opt is None:
         return _dense_lp(c, a, b)
+    if keep_r.all() and keep_c.all():
+        return opt
     return _dense_lp(c, a, b, basis=_forcing_basis(c, opt, keep_r, keep_c))
-
-
-def _column_generation_or_dense(c: np.ndarray, a: np.ndarray,
-                                b: np.ndarray) -> _Optimum:
-    """The ``_Optimum`` of ``_column_generation`` where it is tried and
-    accepted, of ``_dense_lp`` otherwise."""
-    opt = _column_generation(c, a, b) if _tries_column_generation(c) else None
-    return opt if opt is not None else _dense_lp(c, a, b)
 
 
 def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None) -> _Optimum:
@@ -401,7 +376,7 @@ def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None) -> _Optim
                   b_eq=np.concatenate([a, b[:-1]]), basis=basis)
     if not res.success:
         raise SpaceError(f"transport LP failed: {res.message}")
-    return _Optimum(res.fun, res.x.reshape(nr, nc), *_duals(res, nr), res.basis)
+    return _Optimum(res.fun, res.x.reshape(nr, nc), *_duals(res, nr))
 
 
 def _strictly_monge(c: np.ndarray) -> bool:
@@ -415,10 +390,10 @@ def _strictly_monge(c: np.ndarray) -> bool:
 
 
 def _tries_column_generation(c: np.ndarray) -> bool:
-    """Whether ``_transport_lp`` tries column generation on an LP of cost
-    c without forcing rows (the full LP, or the one the forcing-row
-    reduction leaves): at least three rows and columns and no two equal
-    positive costs."""
+    """Whether ``_transport_lp`` tries column generation on c, the cost
+    of the LP left without its forcing rows (the LP itself if it has
+    none): at least three rows and columns and no two equal positive
+    costs.  Where it does not, the full LP goes to ``_dense_lp``."""
     return min(c.shape) >= 3 and _distinct_costs(c)
 
 
@@ -581,9 +556,9 @@ def _north_west_corner(a: np.ndarray, b: np.ndarray):
 def _forcing_basis(c: np.ndarray, opt: _Optimum, keep_r: np.ndarray,
                    keep_c: np.ndarray):
     """The basis of the full transport LP that HiGHS's forcing-row
-    postsolve builds from ``opt``, an optimum with a basis of the LP
-    without the forcing rows (those of ``~keep_r`` and ``~keep_c``) and
-    their columns, as (column, row) statuses.
+    postsolve builds from ``opt``, column generation's accepted optimum of
+    the LP without the forcing rows (those of ``~keep_r`` and ``~keep_c``)
+    and their columns, as (column, row) statuses.
 
     Each forcing row takes the reduced costs of its columns in kept rows
     and columns without its own dual: c - v for a mu row, c - u for a nu

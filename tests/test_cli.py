@@ -383,6 +383,16 @@ class TestCdAndIneq:
         assert main(["ineq", str(gauss_file), "--K", "-1",
                      "--poincare"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["cd-check", "--K", "0", "--N", "nan"],  # exited 0, passed
+        ["cd-check", "--K", "nan"],
+        ["ineq", "--K", "nan", "--hwi"],  # exited 1, rhs NaN
+        ["ineq", "--K", "1", "--N", "nan", "--hwi"],
+    ])
+    def test_nan_curvature_bounds_exit_2(self, gauss_file, capsys, args):
+        assert main([args[0], str(gauss_file), *args[1:]]) == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestReport:
     def test_summary_fields(self, tmp_path, gauss_file):

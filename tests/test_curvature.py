@@ -578,6 +578,61 @@ class TestInputChecks:
             grad_norms(ms, self.BAD[bad](ms.n), default_hop_radius(ms.space))
 
 
+BOUND_CALLS = ["DistortionParams", "cd_check", "brunn_minkowski_check",
+               "bishop_gromov_profile", "functional_inequality_suite"]
+BAD_BOUNDS = [(0.0, np.nan, "N must be >= 1"), (np.nan, 3.0, "K must be finite"),
+              (np.nan, INF, "K must be finite"), (-INF, INF, "K must be finite")]
+
+
+class TestCurvatureBounds:
+    """Every routine that takes a curvature bound K and a dimension bound
+    N checks them once (``curvature._bounds``): K finite, N >= 1 or inf."""
+
+    @staticmethod
+    def _call(name, K, N):
+        ms = gaussian_line(1.0, 1.0, 0.25)
+        mu0, mu1 = smooth_density_pair(ms, 0)
+        if name == "DistortionParams":
+            return DistortionParams(K, N, 0.5)
+        if name == "cd_check":
+            return cd_check(ms, mu0, mu1, K, N, entropy_nonlinearity(), [0.5])
+        if name == "brunn_minkowski_check":
+            return brunn_minkowski_check(ms, [0], [ms.n - 1], 0.5, K, N)
+        if name == "bishop_gromov_profile":
+            return bishop_gromov_profile(ms, 0, K, N, [0.5, 1.0])
+        return functional_inequality_suite(ms, K, N, mu=mu0)
+
+    # each was accepted: DistortionParams(0, nan, 0.5) gave beta 1.0,
+    # cd_check passed, and the others reported NaN (bishop_gromov_profile
+    # raised that its quadrature did not converge; it needs a finite N)
+    @pytest.mark.parametrize("name, K, N, match", [
+        (name, *bad) for name in BOUND_CALLS for bad in BAD_BOUNDS
+        if not (name == "bishop_gromov_profile" and bad[1] == INF)])
+    def test_bad_bounds_raise(self, name, K, N, match):
+        with pytest.raises(SpaceError, match=match):
+            self._call(name, K, N)
+
+    @pytest.mark.parametrize("K", [np.nan, INF, -INF])
+    def test_comparison_profile_checks_the_curvature(self, K):
+        # NaN gave NaN
+        with pytest.raises(SpaceError, match="K must be finite"):
+            s_kn(K, 2.0, 0.5)
+
+    def test_infinite_dimension_is_allowed(self):
+        assert DistortionParams(1.0, INF, 0.5).N == INF
+        assert beta(DistortionParams(0.0, INF, 0.5), 1.0) == 1.0
+
+    @pytest.mark.parametrize("N", [np.nan, 0.5])
+    def test_dcn_membership_checks_the_dimension(self, N):
+        with pytest.raises(SpaceError, match="N must be >= 1"):
+            dcn_membership(entropy_nonlinearity(), N, [0.5, 1.0])
+
+    def test_dcn_membership_needs_a_grid(self):
+        # gave a numpy ValueError
+        with pytest.raises(SpaceError, match="must not be empty"):
+            dcn_membership(un_nonlinearity(2.0), 2.0, [])
+
+
 class TestInequalitySuite:
     def test_gaussian_line_all_pass(self):
         ms = gaussian_line(1.0, 2.5, 0.1)

@@ -217,32 +217,49 @@ class TestHighsBindings:
                                  mu / mu.sum(), nu / nu.sum())
         self._assert_same(got, want)
 
-    def test_skewed_masses_through_presolve(self, monkeypatch):
-        # masses from 1e-12 to 1e-7 sit below HiGHS's feasibility
-        # tolerance, so presolve removes their rows and the postsolved
-        # plan misses the marginals: that drift must come out the same in
-        # scipy, and in _solve_lp, which removes those rows itself
+    @pytest.mark.parametrize("case", ["tied", "infeasible"])
+    def test_forcing_rows_without_a_tree_solve_the_lp_whole(self, monkeypatch,
+                                                             case):
+        # a forcing-row LP whose reduced LP column generation does not
+        # settle goes whole to linprog, once, without a start basis
         rng = np.random.default_rng(0)
-        space = random_quasi_metric(rng, 30)
-        mu, nu = rng.random(30), rng.random(30)
-        for m in (mu, nu):
-            tiny = rng.random(30) < 0.4
-            m[tiny] = 10 ** rng.uniform(-12, -7, tiny.sum())
-        mu, nu = mu / mu.sum(), nu / nu.sum()
-        # the dense fallback of the reduced LP, as in _dense
+        if case == "tied":
+            # masses from 1e-12 to 1e-7, and two equal costs among the
+            # rows and columns the reduction keeps: no attempt
+            n = 30
+            mu, nu = rng.random(n), rng.random(n)
+            for m in (mu, nu):
+                tiny = rng.random(n) < 0.4
+                m[tiny] = 10 ** rng.uniform(-12, -7, tiny.sum())
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            tol = transport.PRESOLVE_MASS
+            kept_nu = np.append(nu[:-1] > tol, True)
+            cost = _tied(random_quasi_metric(rng, n).dist ** 2, mu > tol, kept_nu)
+        else:
+            # mu's forcing rows carry 1.8e-7 and nu's last entry 1e-10, so
+            # the LP without those rows leaves -1.8e-7 to nu's last column:
+            # the attempt finds it infeasible
+            n = 8
+            mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
+            mu[[3, 5]], nu[-1] = 0.9e-7, 1e-10
+            mu[mu > 1e-7] *= (1.0 - 1.8e-7) / mu[mu > 1e-7].sum()
+            nu[:-1] *= (1.0 - 1e-10) / nu[:-1].sum()
+            cost = random_quasi_metric(rng, n).dist ** 2
+        assert not transport._strictly_monge(cost)
+        with pytest.MonkeyPatch.context() as mp:
+            attempts = _counted_column_generation(mp)
+            calls = _recorded_linprog(mp)
+            got = transport._solve_lp(cost, mu, nu)
+        assert attempts == ([] if case == "tied" else [False])
+        # one linprog call besides the attempt's restricted LP
+        assert [started for restricted, started, _ in calls
+                if not restricted] == [False]
+        # that call solves the whole LP, as scipy does with presolve off
         monkeypatch.setattr(transport, "_column_generation", lambda c, a, b: None)
-        seen, plan = self._captured_lps(monkeypatch, space.dist ** 2, mu, nu)
-        assert len(seen) == 2
-        # the full LP, started from the basis completed after the reduced
-        # one, against scipy's presolve on the full LP
-        (*_, small), (c, a_eq, b_eq, _, got) = seen
-        want = _scipy_linprog(c, a_eq, b_eq)
-        assert got.nit == 0 and small.nit == want.nit
-        self._assert_same(got, want, nit=False)
-        assert np.array_equal(plan, got.x.reshape(30, 30))
-        drift = max(np.abs(plan.sum(axis=1) - mu).max(),
-                    np.abs(plan.sum(axis=0) - nu).max())
-        assert drift > transport.MARGINAL_TOL
+        got_lp, want, plan = self._lps(monkeypatch, cost, mu, nu)
+        self._assert_same(got_lp, want)
+        assert np.array_equal(plan, want.x.reshape(n, n))
+        _assert_bitwise(got, _dense(cost, mu, nu))
 
     @pytest.mark.parametrize("nr", [1, 2, 3, 17])
     @pytest.mark.parametrize("nc", [1, 2, 3, 17])
@@ -255,8 +272,8 @@ class TestHighsBindings:
         nu[rng.choice(n, nc, replace=False)] = rng.random(nc) + 0.1
         cost = _tied(_not_monge(random_quasi_metric(rng, n).dist, mu, nu), mu, nu)
         if min(nr, nc) == 1:
-            # the closed form answers without an LP; the forcing-row
-            # reduction can still leave one row or column
+            # the closed form answers without an LP, so _transport_csc is
+            # checked on its own
             seen, _ = self._captured_lps(monkeypatch, cost, mu / mu.sum(),
                                          nu / nu.sum())
             assert seen == []
@@ -364,14 +381,11 @@ def _kept(d, mu, nu, p=1):
     return d[np.ix_(mu > 0, nu > 0)] ** p, mu[mu > 0], nu[nu > 0]
 
 
-def _three_kept(cost, mu, nu):
-    """Whether the LP that _solve_lp hands on keeps at least three rows
-    and three columns without its forcing rows: below that, HiGHS presolve
-    also removes doubleton rows, and its answer differs from presolve
-    off in the last bits."""
-    _, a, b = _kept(cost, mu, nu)
+def _has_forcing_rows(a, b):
+    """Whether the LP of masses a and b has forcing rows: masses at or
+    below HiGHS's feasibility tolerance (nu's last entry has no row)."""
     tol = transport.PRESOLVE_MASS
-    return min((a > tol).sum(), (b[:-1] > tol).sum() + 1) >= 3
+    return bool((a <= tol).any() or (b[:-1] <= tol).any())
 
 
 def _scipy_linprog(c, a_eq, b_eq, presolve=True):
@@ -491,15 +505,14 @@ def forcing_row_inputs(draw):
         m[:3] = np.where(m[:3] > transport.PRESOLVE_MASS, m[:3],
                          rng.uniform(0.1, 1.0, 3))
         m /= m.sum()
-    _, a, b = _kept(cost, mu, nu)
-    assume((a <= transport.PRESOLVE_MASS).any()
-           or (b[:-1] <= transport.PRESOLVE_MASS).any())
+    assume(_has_forcing_rows(*_kept(cost, mu, nu)[1:]))
     return cost, mu, nu
 
 
 def _dense(cost, mu, nu):
     """_solve_lp's answer, or its SpaceError message, with column
-    generation turned off: the path every such LP took before it."""
+    generation turned off: every LP but the closed form goes whole to
+    linprog, without a start basis."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_column_generation", lambda c, a, b: None)
         try:
@@ -508,12 +521,13 @@ def _dense(cost, mu, nu):
             return str(exc)
 
 
-def _presolved(cost, mu, nu):
+def _presolved(cost, mu, nu, presolve=True):
     """_solve_lp's answer, or its SpaceError message, with every
-    transport LP handed whole to scipy's linprog, HiGHS presolve on."""
-    def presolve_all(c, a, b):
+    transport LP handed whole to scipy's linprog, HiGHS presolve on (or
+    off)."""
+    def scipy_lp(c, a, b):
         res = _scipy_linprog(c.ravel(), transport._transport_csc(*c.shape),
-                             np.concatenate([a, b[:-1]]))
+                             np.concatenate([a, b[:-1]]), presolve)
         if not res.success:
             # HiGHS's model status, which transport.linprog reports alone
             status = re.search(r"model_status is (.*?);", res.message)[1]
@@ -522,19 +536,11 @@ def _presolved(cost, mu, nu):
                                   *transport._duals(res, len(a)))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "_transport_lp", presolve_all)
+        mp.setattr(transport, "_transport_lp", scipy_lp)
         try:
             return transport._solve_lp(cost, mu, nu)
         except SpaceError as exc:
             return str(exc)
-
-
-def _whole(cost, mu, nu):
-    """``_dense``'s answer with the forcing-row reduction turned off, so
-    that the LP goes whole to linprog."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "PRESOLVE_MASS", 0.0)
-        return _dense(cost, mu, nu)
 
 
 def _assert_bitwise(got, want):
@@ -547,9 +553,10 @@ def _assert_bitwise(got, want):
 
 
 class TestPresolveRule:
-    """_solve_lp never runs HiGHS presolve: numpy does its one reduction
-    on these LPs, and with at least three rows and columns left the answer
-    is bitwise that of presolve on."""
+    """_solve_lp never runs HiGHS presolve.  On an LP without forcing
+    rows presolve finds nothing to reduce, so its answer is bitwise that
+    of presolve on; the forcing-row reduction that column generation
+    takes is the LP that HiGHS presolve makes."""
 
     def test_threshold_is_highs_feasibility_tolerance(self):
         _, tol = transport._highs()._Highs().getOptionValue(
@@ -559,17 +566,18 @@ class TestPresolveRule:
     @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
     def test_skipping_presolve_changes_nothing(self, inputs):
-        assume(_three_kept(*inputs))
+        # presolve reduces an LP with forcing rows, and below three rows
+        # or columns it also removes doubleton rows
+        c, a, b = _kept(*inputs)
+        assume(min(c.shape) >= 3 and not _has_forcing_rows(a, b))
+        assume(not transport._strictly_monge(c))
         with pytest.MonkeyPatch.context() as mp:
             # the dense LP, also where column generation would answer
             mp.setattr(transport, "_column_generation", lambda c, a, b: None)
             # the skewed inputs may fail _solve_lp's certificate; only the
-            # LPs it hands to linprog matter here
-            seen, _ = TestHighsBindings._captured_lps(mp, *inputs,
-                                                      allow_failure=True)
-        if len(seen) != 1:
-            return  # the closed form, or the forcing-row reduction
-        c, a_eq, b_eq, _, off = seen[0]
+            # LP it hands to linprog matters here
+            ((c, a_eq, b_eq, _, off),), _ = TestHighsBindings._captured_lps(
+                mp, *inputs, allow_failure=True)
         assert _presolve_status(c, a_eq, b_eq) == \
             transport._highs().HighsPresolveStatus.kNotReduced
         on = _scipy_linprog(c, a_eq, b_eq)
@@ -581,73 +589,59 @@ class TestPresolveRule:
 
     @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_forcing_row_reduction_matches_presolve(self, inputs):
+    def test_dense_path_is_scipys_linprog(self, inputs):
         # strictly Monge costs never reach HiGHS; TestMongeClosedForm
         # covers them.  Column generation is turned off (_dense), so the
         # LPs it would answer are checked on the dense path too.
-        assume(_three_kept(*inputs))
         assume(not transport._strictly_monge(_kept(*inputs)[0]))
-        got, want = _dense(*inputs), _presolved(*inputs)
-        if want == "transport LP failed: Infeasible" and got != want:
-            # presolve's reduced LP, which is ours, is infeasible beyond
-            # HiGHS's tolerance; _transport_lp then solves the LP whole
-            want = _whole(*inputs)
-        _assert_bitwise(got, want)
+        _assert_bitwise(_dense(*inputs), _presolved(*inputs, presolve=False))
 
     def test_reduction_is_highs_presolved_lp(self, monkeypatch, rng):
-        # forcing rows on both sides, and nu's last entry, which has no row
+        # forcing rows on both sides, and nu's last entry, which has no
+        # row.  The dropped masses of nu and its last mass outweigh those
+        # of mu, so the reduced LP is feasible to column generation's
+        # 1e-10 tolerance.
         n = 12
         mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
-        mu[[2, 7]], nu[[0, 5, n - 1]] = 0.99e-7, [1e-7, 3e-9, 1e-8]
+        mu[[2, 7]], nu[[0, 5, n - 1]] = 0.99e-7, [1e-7, 9e-8, 1e-8]
         for m in (mu, nu):
             big = m > transport.PRESOLVE_MASS
             m[big] *= (1.0 - m[~big].sum()) / m[big].sum()
-        # the dense fallback of the reduced LP, as in _dense
-        monkeypatch.setattr(transport, "_column_generation", lambda c, a, b: None)
-        seen, plan = TestHighsBindings._captured_lps(
-            monkeypatch, random_quasi_metric(rng, n).dist ** 2, mu, nu)
-        (c_small, a_small, b_small, _, small), (c, a_eq, b_eq, basis, full) = seen
-        assert basis is not None
-        lp = _presolving_model(c, a_eq, b_eq).getPresolvedLp()
+        attempts = []
+        ours = transport._column_generation
+
+        def recorded(*lp):
+            attempts.append(lp)
+            return ours(*lp)
+
+        monkeypatch.setattr(transport, "_column_generation", recorded)
+        cost = random_quasi_metric(rng, n).dist ** 2
+        calls = _recorded_linprog(monkeypatch)
+        _, plan, _ = transport._solve_lp(cost, mu, nu)
+        # the reduced LP that column generation receives
+        ((c, a, b),) = attempts
+        b_eq = np.concatenate([mu, nu[:-1]])
+        lp = _presolving_model(cost.ravel(), transport._transport_csc(n, n),
+                               b_eq).getPresolvedLp()
+        a_small = transport._transport_csc(*c.shape)
         assert (lp.num_row_, lp.num_col_) == a_small.shape == (10 + 9, 10 * 10)
-        assert np.array_equal(lp.col_cost_, c_small)
-        assert np.array_equal(lp.row_lower_, b_small)
-        assert np.array_equal(lp.row_upper_, b_small)
-        assert np.array_equal(lp.col_lower_, np.zeros(len(c_small)))
+        assert np.array_equal(lp.col_cost_, c.ravel())
+        assert np.array_equal(lp.row_lower_, np.concatenate([a, b[:-1]]))
+        assert np.array_equal(lp.row_upper_, np.concatenate([a, b[:-1]]))
+        assert np.array_equal(lp.col_lower_, np.zeros(c.size))
         assert str(lp.a_matrix_.format_) == "MatrixFormat.kColwise"
         assert np.array_equal(lp.a_matrix_.start_, a_small.indptr)
         assert np.array_equal(lp.a_matrix_.index_, a_small.indices)
         assert np.array_equal(lp.a_matrix_.value_, a_small.data)
-        # the completed basis is HiGHS's postsolved one: the full LP takes
-        # no pivot of its own
-        whole = _scipy_linprog(c, a_eq, b_eq)
-        assert full.nit == 0 and small.nit == whole.nit
+        # the accepted tree completes to HiGHS's postsolved basis: the full
+        # LP takes no pivot of its own, and its answer is presolve's
+        (full,) = [res for restricted, started, res in calls if started]
+        whole = _scipy_linprog(cost.ravel(), transport._transport_csc(n, n), b_eq)
+        assert full.nit == 0
         assert np.array_equal(full.x, whole.x)
         assert np.array_equal(full.eqlin.marginals, whole.eqlin.marginals)
         assert full.fun == whole.fun
         assert np.array_equal(plan, whole.x.reshape(n, n))
-
-    def test_infeasible_reduction_solves_the_lp_whole(self, monkeypatch, rng):
-        # mu's forcing rows carry 1.8e-7 and nu's last entry 1e-10, so the
-        # LP without those rows leaves -1.8e-7 to nu's last column: HiGHS
-        # calls it infeasible, and presolve calls the whole LP so
-        n = 8
-        mu, nu = rng.random(n) + 0.1, rng.random(n) + 0.1
-        mu[[3, 5]], nu[-1] = 0.9e-7, 1e-10
-        mu[mu > 1e-7] *= (1.0 - 1.8e-7) / mu[mu > 1e-7].sum()
-        nu[:-1] *= (1.0 - 1e-10) / nu[:-1].sum()
-        cost = random_quasi_metric(rng, n).dist ** 2
-        assert not transport._strictly_monge(cost)
-        assert _presolved(cost, mu, nu) == "transport LP failed: Infeasible"
-        monkeypatch.setattr(transport, "_column_generation", lambda c, a, b: None)
-        seen, _ = TestHighsBindings._captured_lps(monkeypatch, cost, mu, nu)
-        (c_small, _, _, _, small), (c, _, _, basis, _) = seen
-        assert not small.success and basis is None
-        assert (len(c_small), len(c)) == ((n - 2) * n, n * n)
-        monkeypatch.undo()
-        # _solve_lp raises unless its certificate passes
-        _assert_bitwise(transport._solve_lp(cost, mu, nu),
-                        _whole(cost, mu, nu))
 
     def test_last_nu_mass_is_no_forcing_row(self, monkeypatch, rng):
         # nu's last constraint is the redundant one left out of the LP
@@ -736,17 +730,12 @@ class TestSmallLPs:
             m[1:] *= (1.0 - least) / m[1:].sum()
             m[0] = least
         cost = _not_monge(rng.random((nr, nc)), mu, nu)
-        started = []  # whether each linprog call starts from a basis
-        ours = transport.linprog
-
-        def record(c, **kwargs):
-            started.append(kwargs.get("basis") is not None)
-            return ours(c, **kwargs)
-
-        monkeypatch.setattr(transport, "linprog", record)
+        calls = _recorded_linprog(monkeypatch)
         # _solve_lp raises unless its certificate passes
         value, plan, _ = transport._solve_lp(cost, mu, nu)
-        assert started == ([False] if least is None else [False, True])
+        # two rows or columns, or fewer after the forcing-row reduction:
+        # no attempt, and the whole LP from HiGHS's crash basis
+        assert [call[:2] for call in calls] == [(False, False)]
         if cost.size <= 12:  # the oracle enumerates C(size, nr + nc - 1) trees
             # a forcing row's mass may be left off the plan (HiGHS's
             # feasibility tolerance), which moves the value by at most
@@ -915,6 +904,23 @@ def _counted_column_generation(mp):
     return calls
 
 
+def _recorded_linprog(mp):
+    """Wrap linprog in mp; the list it returns gets one entry per call:
+    whether it solves a restricted LP of column generation (which passes
+    a tolerance), whether it starts from a basis, and its result."""
+    calls = []
+    ours = transport.linprog
+
+    def record(c, **kwargs):
+        res = ours(c, **kwargs)
+        calls.append((kwargs.get("tolerance") is not None,
+                      kwargs.get("basis") is not None, res))
+        return res
+
+    mp.setattr(transport, "linprog", record)
+    return calls
+
+
 def _funk_sample(n, power=1):
     """An n-point Funk sample with random marginals U^power: dense for
     power 1, "skewed" for 4."""
@@ -1027,43 +1033,48 @@ class TestColumnGeneration:
     @given(forcing_row_inputs())
     @settings(max_examples=150, deadline=None)
     def test_forcing_rows_attempt_the_reduced_lp(self, inputs):
-        # one attempt, on the LP without the forcing rows and their
-        # columns.  Where its basis completes to the full LP's start that
-        # the dense reduced LP's completes to, the answer is bitwise the
-        # dense path's.  (The completion reads the duals too, which
-        # column generation scales back from the scaled cost, so the same
-        # reduced basis can complete differently at a near-tie.)
+        # one attempt, on the LP without the forcing rows and their columns
         cost, mu, nu = inputs
         c, a, b = _kept(cost, mu, nu)
         assume(not transport._strictly_monge(c))
         keep_r = a > transport.PRESOLVE_MASS
         keep_c = np.append(b[:-1] > transport.PRESOLVE_MASS, True)
-        attempts, starts = [], []
-        ours, completion = transport._column_generation, transport._forcing_basis
+        attempts = []
+        ours = transport._column_generation
 
         def recorded(*lp):
             attempts.append(lp[0].shape)
             return ours(*lp)
 
-        def completed(*args):
-            starts.append(completion(*args))
-            return starts[-1]
-
-        def solved():
-            try:
-                return transport._solve_lp(cost, mu, nu)
-            except SpaceError as exc:
-                return str(exc)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transport, "_column_generation", recorded)
-            mp.setattr(transport, "_forcing_basis", completed)
-            got = solved()
-            mp.setattr(transport, "_column_generation", lambda c, a, b: None)
-            dense = solved()
+            try:
+                transport._solve_lp(cost, mu, nu)
+            except SpaceError:
+                pass
         assert attempts == [(keep_r.sum(), keep_c.sum())]
-        if len(starts) == 2 and all(np.array_equal(x, y) for x, y in zip(*starts)):
-            _assert_bitwise(got, dense)
+
+    @given(transport_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_a_start_basis_follows_an_accepted_attempt(self, inputs):
+        # the full LP of a forcing-row LP starts from a basis only where
+        # column generation accepted the LP without them; every other LP
+        # but the closed form goes whole to linprog once
+        c, a, b = _kept(*inputs)
+        with pytest.MonkeyPatch.context() as mp:
+            attempts = _counted_column_generation(mp)
+            calls = _recorded_linprog(mp)
+            try:
+                transport._transport_lp(c, a, b)
+            except SpaceError:
+                pass
+        full = [started for restricted, started, _ in calls if not restricted]
+        if transport._strictly_monge(c):
+            assert (attempts, calls) == ([], [])
+        elif attempts == [True]:
+            assert full == ([True] if _has_forcing_rows(a, b) else [])
+        else:
+            assert attempts in ([], [False]) and full == [False]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("backward", [False, True])
@@ -1071,18 +1082,22 @@ class TestColumnGeneration:
                                                backward):
         # U^4 masses put 14 rows and 6 columns at or below PRESOLVE_MASS.
         # Column generation solves the LP without them, and its tree
-        # starts the full LP as the dense reduced LP's basis did, so the
-        # answer is bitwise the dense path's.  Every case still drifts
-        # off the marginals (ROADMAP item 2), and the drift is kept too.
+        # completes to HiGHS's postsolved basis: the full LP takes no
+        # pivot from it, and the answer is bitwise that of HiGHS presolve
+        # on the whole LP.  Every case still drifts off the marginals
+        # (ROADMAP item 2), and the drift is presolve's too.
         ms, mu, nu = funk200_skewed
         if backward:
             mu, nu = nu, mu
         cost = ms.space.dist ** p
         with pytest.MonkeyPatch.context() as mp:
             attempts = _counted_column_generation(mp)
+            calls = _recorded_linprog(mp)
             got = transport._solve_lp(cost, mu, nu)
         assert attempts == [True]
-        _assert_bitwise(got, _dense(cost, mu, nu))
+        (full,) = [res for restricted, started, res in calls if started]
+        assert full.nit == 0
+        _assert_bitwise(got, _presolved(cost, mu, nu))
         plan = got[1]
         drift = max(np.abs(plan.sum(axis=1) - mu).max(),
                     np.abs(plan.sum(axis=0) - nu).max())
@@ -1090,9 +1105,9 @@ class TestColumnGeneration:
 
     def test_rescaled_forcing_row_lp_is_optimal(self):
         # costs of about 1e-6 sit below HiGHS's absolute 1e-7 tolerances:
-        # the dense reduced LP stops early, and the full LP, started from
-        # its basis, ends 6.1e-2 above the optimum.  Column generation
-        # solves the reduced LP on the cost divided by its largest entry.
+        # the dense LP stops early, 6.1e-2 above the optimum.  Column
+        # generation solves the reduced LP on the cost divided by its
+        # largest entry, and its tree starts the full LP.
         rng = np.random.default_rng(40)
         cost = 1e-6 * random_quasi_metric(rng, 4).dist ** 2
         mu, nu = rng.random(4) + 0.1, rng.random(4) + 0.1
