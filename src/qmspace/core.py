@@ -10,7 +10,6 @@ a space is built, and weight vectors and marginals where they enter, by
 
 from __future__ import annotations
 
-import importlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -46,32 +45,6 @@ USER_TOL = 1e-6
 
 class SpaceError(ValueError):
     """Structural problem with a space, subset, or parameter."""
-
-
-class _OnFirstCall:
-    """Stand-in for a module that is imported when one of its functions is
-    first called.
-
-    networkx takes most of a second to import; this keeps it out of
-    ``import qmspace`` and out of commands that never call it.
-    Reading an attribute imports nothing, so the attribute can be read,
-    wrapped and replaced like a module-level name.
-    """
-
-    def __init__(self, module: str):
-        self._module = module
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        module = self._module
-
-        def call(*args, **kwargs):
-            return getattr(importlib.import_module(module), name)(*args, **kwargs)
-
-        call.__name__ = call.__qualname__ = name
-        setattr(self, name, call)
-        return call
 
 
 #: hop entries one vectorized step of ``dijkstra`` expands, about; bounds

@@ -41,7 +41,6 @@ from .transport import (
 __all__ = [
     "DistortionParams",
     "Nonlinearity",
-    "FunctionalReport",
     "s_kn",
     "beta",
     "un_nonlinearity",

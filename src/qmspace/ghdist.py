@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .core import (
     MeasuredSpace,
     QuasiMetricSpace,
     SpaceError,
-    _OnFirstCall,
     _index_set,
     _indices,
     _measure,
@@ -45,9 +45,10 @@ __all__ = [
     "ghp_upper",
 ]
 
-# nothing in qmspace calls this: perfbench/tracing.py reads
-# ``nx.maximum_flow_value`` when it installs its hooks
-nx = _OnFirstCall("networkx")
+# nothing calls this: perfbench/tracing.py wraps ``nx.maximum_flow_value``
+# when it installs its hooks.  Delete it once tracing.py wraps
+# ``_max_flow`` instead (ROADMAP item 1).
+nx = SimpleNamespace(maximum_flow_value=None)
 
 #: enumerate all maps exactly when |target|^|source| is at most this
 EXACT_MAP_LIMIT = 1_000_000

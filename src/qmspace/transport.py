@@ -234,12 +234,11 @@ def linprog(c, *, A_eq: _CSC, b_eq, basis=None, tolerance=None, model=None):
     extension module is loaded (``_highs``), not ``scipy.optimize``.
 
     ``success`` is True when HiGHS finds the model optimal; otherwise
-    ``message`` is HiGHS's model status.  A non-finite cost fails before
-    HiGHS runs, because HiGHS calls such a model optimal.  An optimal
-    result also has ``basis``, the (column, row) statuses of the optimal
-    basis as int8 arrays of HiGHS's codes: 0 at the lower bound, 1 basic,
-    2 at the upper bound.  ``basis`` in that form starts the simplex
-    from it instead of from HiGHS's crash basis.
+    ``message`` is HiGHS's model status.  An optimal result also has
+    ``basis``, the (column, row) statuses of the optimal basis as int8
+    arrays of HiGHS's codes: 0 at the lower bound, 1 basic, 2 at the
+    upper bound.  ``basis`` in that form starts the simplex from it
+    instead of from HiGHS's crash basis.
 
     An optimal result also has ``model``, the HiGHS instance that solved
     it.  Passed back as ``model``, it is solved again with c and A_eq as
@@ -257,8 +256,6 @@ def linprog(c, *, A_eq: _CSC, b_eq, basis=None, tolerance=None, model=None):
     b_eq = np.asarray(b_eq, dtype=float)
     if c.shape != (n,) or b_eq.shape != (m,):
         raise ValueError(f"c and b_eq must have shapes ({n},) and ({m},)")
-    if not np.isfinite(c).all():
-        return SimpleNamespace(success=False, message="non-finite cost", nit=0)
 
     if model is not None:
         highs = model
@@ -334,8 +331,8 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
     """The ``_Optimum`` of min <c, x> over x >= 0 with row sums a and
     column sums b (all positive); SpaceError if HiGHS finds none.
 
-    A strictly Monge cost (``_strictly_monge``; every finite cost with
-    one row or column is one) goes to ``_monge_lp``'s closed form.
+    A strictly Monge cost (``_strictly_monge``; every cost with one row
+    or column is one) goes to ``_monge_lp``'s closed form.
 
     Any other LP first drops its forcing rows (masses at or below
     PRESOLVE_MASS; nu's last entry has no row) and their columns, as
@@ -380,13 +377,13 @@ def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None) -> _Optim
 
 
 def _strictly_monge(c: np.ndarray) -> bool:
-    """Whether c is finite and c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j]
-    on every adjacent 2 x 2 block (so on none if c has one row or one
-    column).  The first two rows are tested alone first, which turns most
-    other costs away in O(nc)."""
+    """Whether c[i, j] + c[i+1, j+1] < c[i, j+1] + c[i+1, j] on every
+    adjacent 2 x 2 block (so on none if c has one row or one column).
+    The first two rows are tested alone first, which turns most other
+    costs away in O(nc)."""
     def strict(m):
         return bool((m[:-1, :-1] + m[1:, 1:] < m[:-1, 1:] + m[1:, :-1]).all())
-    return strict(c[:2]) and strict(c) and bool(np.isfinite(c).all())
+    return strict(c[:2]) and strict(c)
 
 
 def _tries_column_generation(c: np.ndarray) -> bool:
@@ -398,12 +395,12 @@ def _tries_column_generation(c: np.ndarray) -> bool:
 
 
 def _distinct_costs(c: np.ndarray) -> bool:
-    """Whether c is finite and has positive entries, no two of them
-    equal.  The first row is tested alone first, which turns most tied
-    costs (grids and other symmetric samples) away in O(nc log nc)."""
+    """Whether c has positive entries, no two of them equal.  The first
+    row is tested alone first, which turns most tied costs (grids and
+    other symmetric samples) away in O(nc log nc)."""
     def distinct(m):
         s = np.sort(m, axis=None)
-        if not (np.isfinite(s[0]) and np.isfinite(s[-1]) and s[-1] > 0):
+        if not s[-1] > 0:
             return False
         s = s[np.searchsorted(s, 0.0, side="right"):]
         return bool((s[1:] > s[:-1]).all())
@@ -598,16 +595,20 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     psi is the c-transform of the row duals u over every column,
     psi[j] = min over rows with mass of cost[i, j] - u[i].
 
-    Points without mass are dropped, and ``_transport_lp`` solves the
-    rest by the routing rule its docstring gives (dropping rows and
-    columns keeps a Monge matrix Monge).  Every route's ``_Optimum`` must
-    pass the same certificate below.  Column generation's duals are scaled back from
-    the cost divided by its largest entry, and at costs near 1e12 their
-    rounding alone can still fail the absolute thresholds below.
+    Points without mass are dropped.  A non-finite cost among the rest
+    raises SpaceError, because HiGHS would call such an LP optimal.
+    ``_transport_lp`` solves the rest by the routing rule its docstring
+    gives (dropping rows and columns keeps a Monge matrix Monge).  Every
+    route's ``_Optimum`` must pass the same certificate below.  Column
+    generation's duals are scaled back from the cost divided by its
+    largest entry, and at costs near 1e12 their rounding alone can still
+    fail the absolute thresholds below.
     """
     keep_r = np.nonzero(mu > 0)[0]
     keep_c = np.nonzero(nu > 0)[0]
     c = cost[np.ix_(keep_r, keep_c)]
+    if not np.isfinite(c).all():
+        raise SpaceError("transport LP failed: non-finite cost")
     opt = _transport_lp(c, mu[keep_r], nu[keep_c])
 
     # complementary-slackness certificate from the equality duals
@@ -627,7 +628,8 @@ def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:
     """Order-p transport distance and an optimal coupling (exact LP)."""
     if np.allclose(prob.mu, prob.nu, rtol=0, atol=MASS_TOL):
         return 0.0, Coupling(np.diag(prob.mu), prob.mu, prob.nu)
-    cost = prob.space.dist ** prob.p
+    with np.errstate(over="ignore"):  # an infinite cost raises in _solve_lp
+        cost = prob.space.dist ** prob.p
     value, plan, _ = _solve_lp(cost, prob.mu, prob.nu)
     # clean tiny negative / marginal drift from the solver
     plan = np.maximum(plan, 0.0)

@@ -110,13 +110,25 @@ class TestWasserstein:
 
     def test_non_finite_cost_raises(self):
         # finite distances whose p-th power overflows still reach the LP
-        # with an infinite cost, which HiGHS would call optimal
+        # with an infinite cost, which HiGHS would call optimal.  No
+        # overflow warning either (warnings are errors here).  With one
+        # row of mass the cost is Monge: the check comes before any route
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1e200], [3.0, 1.0, 0.0]])
-        mu, nu = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
-        prob = TransportProblem(QuasiMetricSpace(d), mu, nu, 2.0)
-        with np.errstate(over="ignore"), \
-                pytest.raises(SpaceError, match="non-finite cost"):
-            wasserstein(prob)
+        nu = np.array([0.5, 0.3, 0.2])
+        for mu in ([0.2, 0.3, 0.5], [0.0, 1.0, 0.0]):
+            prob = TransportProblem(QuasiMetricSpace(d), np.array(mu), nu, 2.0)
+            with pytest.raises(SpaceError,
+                               match="transport LP failed: non-finite cost"):
+                wasserstein(prob)
+
+    def test_overflow_off_the_support_is_not_checked(self):
+        # only the cost between points with mass enters the LP
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1e200], [3.0, 1.0, 0.0]])
+        mu, nu = np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.3, 0.2])
+        got, _ = wasserstein(TransportProblem(QuasiMetricSpace(d), mu, nu, 2.0))
+        want, _ = wasserstein(TransportProblem(
+            QuasiMetricSpace(np.where(d > 3.0, 3.0, d)), mu, nu, 2.0))
+        assert got == want
 
     def test_marginal_validation(self):
         space = QuasiMetricSpace(np.zeros((2, 2)))
