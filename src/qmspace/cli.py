@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import core, curvature, ghdist, models, transport
+from . import core
 from .io import (
     _plain,
     fmt,
@@ -76,6 +76,7 @@ def _emit(report, args) -> None:
 
 
 def _build_model(args):
+    from . import models
     if args.model == "funk":
         return models.FunkBall(dim=args.dim)
     if args.model == "randers-torus":
@@ -88,6 +89,7 @@ def _build_model(args):
 
 
 def cmd_gen(args) -> int:
+    from . import models
     if args.model == "gaussian-line":
         ms = models.gaussian_line(args.K, args.half_width, args.grid)
         meta = {"model": "gaussian-line", "K": args.K,
@@ -131,6 +133,7 @@ def _as_measured(obj, what: str) -> core.MeasuredSpace:
 
 def cmd_dist(args) -> int:
     if args.kind == "w":
+        from . import transport
         prob = load_problem(args.file)
         value, coupling = transport.wasserstein(prob)
         plan = [{"i": i, "j": j, "mass": m}
@@ -138,6 +141,7 @@ def cmd_dist(args) -> int:
         _emit({"kind": "w", "p": prob.p, "value": value, "plan": plan}, args)
         return 0
 
+    from . import ghdist
     a = load_space(args.file)
     if args.kind == "hausdorff":
         if args.set_a is None or args.set_b is None:
@@ -177,7 +181,8 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _nonlinearity(name: str) -> curvature.Nonlinearity:
+def _nonlinearity(name: str):
+    from . import curvature
     if name == "H":
         return curvature.entropy_nonlinearity()
     if name.startswith("U"):
@@ -215,6 +220,7 @@ def _density_pair(ms: core.MeasuredSpace, seed: int):
 
 
 def cmd_cd(args) -> int:
+    from . import curvature
     ms = _as_measured(load_space(args.file), "cd-check").normalized()
     U = _nonlinearity(args.U)
     N = float(args.N)
@@ -230,6 +236,7 @@ def cmd_cd(args) -> int:
 
 
 def cmd_ineq(args) -> int:
+    from . import curvature
     ms = _as_measured(load_space(args.file), "ineq").normalized()
     N = float(args.N)
     if args.K <= 0 and (args.poincare or args.log_sobolev):

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import MeasuredSpace, QuasiMetricSpace, SpaceError
-from .transport import TransportProblem
+
+if TYPE_CHECKING:
+    from .transport import TransportProblem
 
 __all__ = [
     "load_space",
@@ -42,9 +44,13 @@ def fmt(x) -> str:
 
 
 def write_atomic(path: str, text: str):
-    """Write a file through a temp name so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write a file through a temp name so readers never see partials.
+
+    The temp file sits next to ``path`` and is created with mode 0o666
+    less the umask, as ``open`` would create ``path`` itself.
+    """
+    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -139,6 +145,7 @@ def save_space(path: str, space, metadata: dict | None = None):
 
 def load_problem(path: str) -> TransportProblem:
     """Load a transport problem: space JSON plus mu, nu, p."""
+    from .transport import TransportProblem
     obj = _load_object(path)
     for key in ("mu", "nu"):
         if key not in obj:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qmspace.io import (
     plan_triplets,
     save_problem,
     save_space,
+    write_atomic,
 )
 
 
@@ -106,6 +108,21 @@ class TestIo:
     @settings(max_examples=200, deadline=None)
     def test_writer_matches_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, indent=1)
+
+    def test_write_atomic_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out.json"
+        old = os.umask(0o027)
+        try:
+            write_atomic(str(path), "{}\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+        assert path.read_text() == "{}\n"
+
+    def test_write_atomic_error_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(str(tmp_path / "out.json"), b"not text")
+        assert list(tmp_path.iterdir()) == []
 
     def test_plan_triplets(self):
         plan = np.array([[0.5, 0.0], [0.0, 0.5]])

@@ -1,6 +1,6 @@
-"""scipy is imported on first use and networkx not at all, and every
-solver call resolves through a module-level name that a caller can
-replace."""
+"""scipy is imported on first use and networkx not at all, each CLI
+command loads only the qmspace modules it runs, and every solver call
+resolves through a module-level name that a caller can replace."""
 
 import collections
 import json
@@ -9,9 +9,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import qmspace
-from qmspace import core, ghdist, transport
+from qmspace import cli, core, ghdist, transport
 from qmspace.core import QuasiMetricSpace
 from qmspace.transport import TransportProblem
 
@@ -51,6 +52,77 @@ def test_import_and_numpy_only_commands_load_neither_scipy_nor_networkx():
     out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == []
+
+
+COMMAND_CHILD = """
+import json, sys
+import qmspace
+if len(sys.argv) > 1:
+    import qmspace.cli
+    assert qmspace.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qmspace."))))
+"""
+
+
+def _qmspace_modules_after(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", COMMAND_CHILD, *argv],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return [m.split(".")[1] for m in json.loads(out.splitlines()[-1])]
+
+
+def test_import_alone_loads_no_module():
+    assert _qmspace_modules_after() == []
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("inputs")
+    paths = {k: str(tmp / f"{k}.json")
+             for k in ("funk", "line", "reversed", "prob", "out")}
+    assert cli.main(["gen", "funk", "--dim", "2", "--grid", "0.5",
+                     "--clip-r", "1", "-o", paths["funk"]]) == 0
+    assert cli.main(["gen", "gaussian-line", "--K", "1", "--half-width", "2",
+                     "--grid", "0.5", "-o", paths["line"]]) == 0
+    with open(paths["funk"]) as fh:
+        funk = json.load(fh)
+    with open(paths["reversed"], "w") as fh:
+        json.dump(dict(funk, weights=funk["weights"][::-1]), fh)
+    with open(paths["prob"], "w") as fh:
+        json.dump({"dist": [[0, 2, 1], [1, 0, 2], [2, 1, 0]],
+                   "mu": [0.5, 0.3, 0.2], "nu": [0.2, 0.3, 0.5], "p": 2}, fh)
+    return paths
+
+
+#: each command's arguments (an output file is added) and the layers it
+#: loads besides core, io and cli
+COMMANDS = {
+    "gen": (["gen", "gaussian-line", "--grid", "0.5"], ["models"]),
+    "validate": (["validate", "{funk}"], []),
+    "report": (["report", "{funk}"], []),
+    "dist-gh": (["dist", "gh", "{funk}", "{funk}", "--theta", "6"],
+                ["ghdist"]),
+    "dist-ghp": (["dist", "ghp", "{funk}", "{funk}", "--theta", "6"],
+                 ["ghdist"]),
+    "dist-prokhorov": (["dist", "prokhorov", "{funk}", "{reversed}"],
+                       ["ghdist"]),
+    "dist-hausdorff": (["dist", "hausdorff", "{funk}", "--set-a", "0",
+                        "--set-b", "1"], ["ghdist"]),
+    "dist-w": (["dist", "w", "{prob}"], ["transport"]),
+    "cd-check": (["cd-check", "{line}", "--K", "0"],
+                 ["transport", "curvature"]),
+    "ineq": (["ineq", "{line}", "--K", "1", "--hwi"],
+             ["transport", "curvature"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_its_layers(inputs, command):
+    argv, layers = COMMANDS[command]
+    argv = [a.format(**inputs) for a in argv] + ["-o", inputs["out"]]
+    assert sorted(_qmspace_modules_after(*argv)) == sorted(
+        ["core", "io", "cli", *layers])
 
 
 LP_CHILD = """
