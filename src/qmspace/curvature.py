@@ -257,8 +257,13 @@ def u_functional(U: Nonlinearity, mu, nu) -> float:
     mu = _measure(mu, nu.size, "mu")
     ac = nu > 0
     total = 0.0
-    for m, w in zip(mu[ac], nu[ac]):
-        total += U.u(m / w) * w
+    for m, w in zip(mu[ac].tolist(), nu[ac].tolist()):
+        try:
+            total += U.u(m / w) * w
+        except (OverflowError, ZeroDivisionError):
+            # Python floats raise where numpy scalars give inf or NaN
+            with np.errstate(all="ignore"):
+                total += U.u(np.float64(m) / w) * w
     singular = float(mu[~ac].sum())
     if singular > 0:
         if U.du_inf == INF:
@@ -277,6 +282,8 @@ def u_beta_functional(U: Nonlinearity, pi: Coupling, dist: np.ndarray,
     marginal's density at the target point with the same pair distortion
     (the coupling and coefficient both get transposed, which cancels).
     Reduces to the plain functional when the distortion is identically 1.
+    A pair whose coefficient rounds to 0 raises: U(r/beta) beta/r is then
+    inf times 0, where its value is finite for U = H.
     """
     if direction not in ("forward", "reversed"):
         raise SpaceError(f"unknown direction {direction!r}")
@@ -287,23 +294,33 @@ def u_beta_functional(U: Nonlinearity, pi: Coupling, dist: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(ac, marg / np.where(ac, nu, 1.0), np.nan)
 
-    total = 0.0
     rows, cols = np.nonzero(mat > 0)
-    for i, j in zip(rows, cols):
-        mass = mat[i, j]
-        k = i if direction == "forward" else j
-        if not ac[k]:
-            continue  # handled by the singular branch below
-        r = rho[k]
-        if r <= 0:
-            continue
-        b = beta(params, float(dist[i, j]))
+    at = rows if direction == "forward" else cols
+    keep = ac[at] & (rho[at] > 0)  # a nu-null point's mass counts below
+    rows, cols, at = rows[keep], cols[keep], at[keep]
+    betas = {}  # beta of each distance, computed at its first pair
+    total = 0.0
+    for mass, r, dxy in zip(mat[rows, cols].tolist(), rho[at].tolist(),
+                            dist[rows, cols].astype(float).tolist()):
+        b = betas.get(dxy)
+        if b is None:
+            b = betas[dxy] = beta(params, dxy)
+            if b == 0.0:
+                raise SpaceError(
+                    f"distortion coefficient underflows to 0 at distance "
+                    f"{dxy:.6g} (K={params.K}, N={params.N}, t={params.t})")
         if b == INF:
             if U.du0 == -INF:
                 return -INF
             total += U.du0 * mass
         else:
-            total += U.u(r / b) * (b / r) * mass
+            try:
+                total += U.u(r / b) * (b / r) * mass
+            except (OverflowError, ZeroDivisionError):
+                # Python floats raise where numpy scalars give inf or NaN
+                with np.errstate(all="ignore"):
+                    r = np.float64(r)
+                    total += U.u(r / b) * (b / r) * mass
     singular = float(marg[~ac].sum())
     if singular > 0:
         if U.du_inf == INF:
@@ -534,7 +551,9 @@ def grad_norms(mspace: MeasuredSpace, f, neighbor_radius: float):
     grad_minus = np.zeros(mspace.n)
     grad[tail[first]] = np.maximum.reduceat(np.abs(quot), first)
     grad_minus[tail[first]] = np.maximum.reduceat(np.maximum(-quot, 0.0), first)
-    return grad, grad_minus, np.setdiff1d(np.arange(mspace.n), tail).tolist()
+    hopless = np.ones(mspace.n, dtype=bool)
+    hopless[tail] = False
+    return grad, grad_minus, np.flatnonzero(hopless).tolist()
 
 
 def fisher_information(mspace: MeasuredSpace, rho,

@@ -30,6 +30,7 @@ from .core import (
     _index_set,
     _indices,
     _measure,
+    _sorted_set,
     reversibility,
 )
 
@@ -366,7 +367,7 @@ def prokhorov(space: QuasiMetricSpace, mu, nu) -> float:
     if max(gap[gap > 0].sum(), -gap[gap < 0].sum()) <= PROKHOROV_TOL:
         return 0.0
     d = space.dist
-    levels = np.unique(d)
+    levels = _sorted_set(d)
     memo = {}
 
     def excess(a, b, eps):

@@ -35,6 +35,7 @@ from .core import (
     SpaceError,
     _measure,
     _pitch,
+    _sorted_set,
     _tolerance,
     dijkstra,
 )
@@ -463,8 +464,9 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         reduced.ravel()[cells] = np.inf
         rows_in = np.flatnonzero(reduced.min(axis=1) < -_CG_ENTER)
         cols_in = np.flatnonzero(reduced.min(axis=0) < -_CG_ENTER)
-        new = np.union1d(rows_in * nc + reduced[rows_in].argmin(axis=1),
-                         reduced[:, cols_in].argmin(axis=0) * nc + cols_in)
+        new = _sorted_set(np.concatenate([
+            rows_in * nc + reduced[rows_in].argmin(axis=1),
+            reduced[:, cols_in].argmin(axis=0) * nc + cols_in]))
         if len(new) == 0:
             break
         cells = np.concatenate([cells, new])
@@ -713,6 +715,10 @@ def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling) -> DynamicalPlan
     predecessor is the tight one with the least distance from i, then the
     lowest index (``dijkstra`` documents the rule in full).  The search
     from i stops at the largest bound of its pairs.
+
+    The chains are read off the predecessors of every pair at once, one
+    hop per step; a walk that has not reached i after n hops fails.  Of
+    the pairs that fail, the first in row-major order raises.
     """
     d = space.dist
     pi = coupling.matrix
@@ -723,50 +729,86 @@ def dynamical_plan(space: QuasiMetricSpace, coupling: Coupling) -> DynamicalPlan
     dist_out, pred = dijkstra(d, radius, sources,
                               np.where(support, bound, 0.0).max(axis=1, initial=0.0),
                               return_predecessors=True)
-    chains = {}
-    for si, j in zip(*np.nonzero(support)):
-        i = sources[si]
-        if not dist_out[si, j] <= bound[si, j]:
-            # the search above stops at the bound; the message gives the
-            # best chain, so search once more without one
-            best = dijkstra(d, radius, [i])[0, j]
-            raise SpaceError(
-                f"no chain from {i} to {j} within tolerance: best "
-                f"{best:.6g} vs direct {d[i, j]:.6g}"
-            )
-        path = [int(j)]
-        while path[-1] != i:
-            if len(path) > space.n:
-                raise SpaceError(f"chain from {i} to {j} does not end at {i}")
-            path.append(int(pred[si, path[-1]]))
-        chains[(int(i), int(j))] = tuple(reversed(path))
+    si, j = np.nonzero(support)
+    i = sources[si]
+    within = dist_out[si, j] <= bound[si, j]
+    # Walk every pair back from j at once.  Step s lists the pairs (by
+    # position k) that took an s-th hop and the point it reached; a pair
+    # leaves the walk at i.
+    steps = []
+    at = np.flatnonzero(within & (j != i))
+    back = j[at]
+    for _ in range(space.n):
+        if not at.size:
+            break
+        back = pred[si[at], back]
+        steps.append((at, back))
+        short = back != i[at]
+        at, back = at[short], back[short]
+    failed = ~within
+    failed[at] = True  # still short of i after n hops
+    if failed.any():
+        k = np.flatnonzero(failed)[0]
+        a, b = int(i[k]), int(j[k])
+        if within[k]:
+            raise SpaceError(f"chain from {a} to {b} does not end at {a}")
+        # the search above stops at the bound; the message gives the best
+        # chain, so search once more without one
+        best = dijkstra(d, radius, [a])[0, b]
+        raise SpaceError(
+            f"no chain from {a} to {b} within tolerance: best "
+            f"{best:.6g} vs direct {d[a, b]:.6g}"
+        )
+    # pair k's chain, i to j, is flat[ends[k] - size[k]:ends[k]]: its
+    # point s hops back from j sits at ends[k] - 1 - s
+    size = np.ones(j.size, dtype=np.intp)
+    for at, _ in steps:
+        size[at] += 1
+    ends = np.cumsum(size)
+    flat = np.empty(int(size.sum()), dtype=np.intp)
+    flat[ends - 1] = j
+    for s, (at, back) in enumerate(steps, 1):
+        flat[ends[at] - 1 - s] = back
+    del steps  # the walk, before the lists of its points are made
+    flat, ends = flat.tolist(), ends.tolist()
+    chains = {key: tuple(flat[lo:hi]) for key, lo, hi in
+              zip(zip(i.tolist(), j.tolist()), [0, *ends], ends)}
     return DynamicalPlan(space, coupling, chains)
-
-
-def _chain_vertices(d: np.ndarray, chain: tuple, ts) -> list:
-    """For each t, the chain vertex whose cumulative length is nearest to
-    t * (total length), ties to the earlier vertex."""
-    c = np.asarray(chain)
-    cum = np.concatenate([[0.0], np.cumsum(d[c[:-1], c[1:]])])
-    idx = np.abs(cum[None, :] - np.asarray(ts)[:, None] * cum[-1]).argmin(axis=1)
-    return [chain[k] for k in idx]
 
 
 def interpolate(plan: DynamicalPlan, ts) -> Interpolation:
     """Push the plan mass along chains: mu_t sits at the chain vertex
     whose cumulative length is nearest to t * (total length), ties to
-    the earlier vertex."""
+    the earlier vertex.
+
+    The chains of each length are rows of one array, with their
+    cumulative hop lengths (a row's cumsum adds its hops left to right, as
+    one chain's would); mu_t adds the masses per vertex in the order of
+    the chains.
+    """
     ts = [float(t) for t in ts]
     for t in ts:
         if not 0.0 <= t <= 1.0:
             raise SpaceError(f"interpolation time {t} outside [0, 1]")
     n = plan.space.n
+    if not plan.chains:
+        return Interpolation(tuple(ts), tuple(np.zeros(n) for _ in ts))
     d = plan.space.dist
-    measures = [np.zeros(n) for _ in ts]
-    pi = plan.coupling.matrix
-    for (i, j), chain in plan.chains.items():
-        for m, v in zip(measures, _chain_vertices(d, chain, ts)):
-            m[v] += pi[i, j]
+    chains = list(plan.chains.values())
+    pairs = np.array(list(plan.chains))
+    mass = plan.coupling.matrix[pairs[:, 0], pairs[:, 1]]
+    size = np.array([len(c) for c in chains], dtype=np.intp)
+    # at[s, k]: chain k's vertex at ts[s], from the chains of its length
+    at = np.empty((len(ts), len(chains)), dtype=np.intp)
+    for m in set(size.tolist()):
+        rows = np.flatnonzero(size == m)
+        vertex = np.array([chains[k] for k in rows.tolist()], dtype=np.intp)
+        cum = np.zeros(vertex.shape)
+        np.cumsum(d[vertex[:, :-1], vertex[:, 1:]], axis=1, out=cum[:, 1:])
+        for s, t in enumerate(ts):
+            nearest = np.abs(cum - t * cum[:, -1:]).argmin(axis=1)
+            at[s, rows] = vertex[np.arange(rows.size), nearest]
+    measures = [np.bincount(v, weights=mass, minlength=n) for v in at]
     return Interpolation(tuple(ts), tuple(measures))
 
 

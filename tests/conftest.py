@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from qmspace import MeasuredSpace, QuasiMetricSpace
+from qmspace import (
+    Coupling,
+    FunkBall,
+    MeasuredSpace,
+    QuasiMetricSpace,
+    SampleSpec,
+    SpaceError,
+    TransportProblem,
+    gaussian_line,
+    sample,
+    wasserstein,
+)
 
 
 def euclidean_grid_1d(pitch, lo=0.0, hi=1.0):
@@ -55,6 +68,39 @@ def random_quasi_metric(rng, n, asym=0.5):
     for k in range(n):  # Floyd-Warshall closure
         d = np.minimum(d, d[:, k][:, None] + d[k][None, :])
     return QuasiMetricSpace(d)
+
+
+@st.composite
+def couplings(draw):
+    """(measured space, coupling) on flat grids, Gaussian lines and Funk
+    samples: the order-2 optimal coupling of two seeded densities, some
+    of whose points carry no mass, or their product coupling (as
+    Brunn-Minkowski builds it)."""
+    kind = draw(st.sampled_from(["grid", "line", "funk"]))
+    if kind == "grid":
+        ms = euclidean_grid_2d(draw(st.sampled_from([0.125, 0.2, 0.25, 0.5])))
+    elif kind == "line":
+        ms = gaussian_line(1.0, draw(st.floats(1.0, 4.0)),
+                           draw(st.floats(0.08, 0.5)))
+    else:
+        ms = sample(FunkBall(dim=2), SampleSpec(
+            strategy="grid", pitch=draw(st.sampled_from([0.15, 0.2, 0.3])),
+            clip_radius=draw(st.sampled_from([0.5, 1.0, 2.0]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def density():
+        w = rng.random(ms.n) * (rng.random(ms.n) < draw(st.floats(0.05, 1.0)))
+        w[rng.integers(ms.n)] += 1.0
+        return w / w.sum()
+
+    mu, nu = density(), density()
+    if draw(st.booleans()):
+        return ms, Coupling(np.outer(mu, nu), mu, nu)
+    try:
+        _, coupling = wasserstein(TransportProblem(ms.space, mu, nu, 2.0))
+    except SpaceError:  # a plan that misses the marginals: no coupling
+        assume(False)
+    return ms, coupling
 
 
 #: a 4-point matrix that breaks every axiom: a nonzero diagonal entry, a

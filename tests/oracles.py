@@ -6,10 +6,12 @@ them on small instances.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from qmspace import ghdist, transport
+from qmspace.core import SpaceError
 
 
 def polytope_vertex_minimum(cost, mu, nu):
@@ -287,6 +289,112 @@ def row_loop_grad_norms(mspace, f, neighbor_radius):
     return grad, grad_minus, isolated
 
 
+def loop_dynamical_plan(space, coupling):
+    """``transport.dynamical_plan`` as it was before it walked every pair at
+    once: one ``dijkstra`` call, then each support pair in row-major order,
+    its chain read back from j one predecessor at a time."""
+    d = space.dist
+    pi = coupling.matrix
+    sources = np.nonzero(pi.sum(axis=1) > transport.MASS_TOL)[0]
+    support = pi[sources] > transport.MASS_TOL
+    bound = d[sources] * (1 + transport.CHAIN_TOL) + transport.MASS_TOL
+    radius = transport.default_hop_radius(space)
+    dist_out, pred = transport.dijkstra(
+        d, radius, sources,
+        np.where(support, bound, 0.0).max(axis=1, initial=0.0),
+        return_predecessors=True)
+    chains = {}
+    for si, j in zip(*np.nonzero(support)):
+        i = sources[si]
+        if not dist_out[si, j] <= bound[si, j]:
+            best = transport.dijkstra(d, radius, [i])[0, j]
+            raise SpaceError(
+                f"no chain from {i} to {j} within tolerance: best "
+                f"{best:.6g} vs direct {d[i, j]:.6g}"
+            )
+        path = [int(j)]
+        while path[-1] != i:
+            if len(path) > space.n:
+                raise SpaceError(f"chain from {i} to {j} does not end at {i}")
+            path.append(int(pred[si, path[-1]]))
+        chains[(int(i), int(j))] = tuple(reversed(path))
+    return transport.DynamicalPlan(space, coupling, chains)
+
+
+def loop_chain_vertices(d, chain, ts):
+    """For each t, the chain vertex whose cumulative length is nearest to
+    t * (total length), ties to the earlier vertex."""
+    c = np.asarray(chain)
+    cum = np.concatenate([[0.0], np.cumsum(d[c[:-1], c[1:]])])
+    idx = np.abs(cum[None, :] - np.asarray(ts)[:, None] * cum[-1]).argmin(axis=1)
+    return [chain[k] for k in idx]
+
+
+def loop_interpolate(plan, ts):
+    """``transport.interpolate`` as a loop over the chains, each adding its
+    mass at its vertex of every t."""
+    ts = [float(t) for t in ts]
+    d = plan.space.dist
+    measures = [np.zeros(plan.space.n) for _ in ts]
+    pi = plan.coupling.matrix
+    for (i, j), chain in plan.chains.items():
+        for m, v in zip(measures, loop_chain_vertices(d, chain, ts)):
+            m[v] += pi[i, j]
+    return transport.Interpolation(tuple(ts), tuple(measures))
+
+
+def loop_u_functional(U, mu, nu):
+    """``curvature.u_functional`` over numpy scalars, one atom at a time."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    ac = nu > 0
+    total = 0.0
+    for m, w in zip(mu[ac], nu[ac]):
+        total += U.u(m / w) * w
+    singular = float(mu[~ac].sum())
+    if singular > 0:
+        if U.du_inf == math.inf:
+            return math.inf
+        total += U.du_inf * singular
+    return float(total)
+
+
+def loop_u_beta_functional(U, pi, dist, nu, params, direction="forward"):
+    """``curvature.u_beta_functional`` over numpy scalars, one support pair
+    at a time, with ``beta`` called for every pair."""
+    from qmspace.curvature import beta
+
+    mat = pi.matrix
+    marg = pi.mu if direction == "forward" else pi.nu
+    nu = np.asarray(nu, dtype=float)
+    ac = nu > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(ac, marg / np.where(ac, nu, 1.0), np.nan)
+    total = 0.0
+    rows, cols = np.nonzero(mat > 0)
+    for i, j in zip(rows, cols):
+        mass = mat[i, j]
+        k = i if direction == "forward" else j
+        if not ac[k]:
+            continue
+        r = rho[k]
+        if r <= 0:
+            continue
+        b = beta(params, float(dist[i, j]))
+        if b == math.inf:
+            if U.du0 == -math.inf:
+                return -math.inf
+            total += U.du0 * mass
+        else:
+            total += U.u(r / b) * (b / r) * mass
+    singular = float(marg[~ac].sum())
+    if singular > 0:
+        if U.du_inf == math.inf:
+            return math.inf
+        total += U.du_inf * singular
+    return float(total)
+
+
 def chain_loop_barycenters(mspace, A0, A1, t):
     """``curvature._barycenter_set``'s points as they were before it used
     ``interpolate``: the e_t vertex of each chain of the uniform product
@@ -296,7 +404,7 @@ def chain_loop_barycenters(mspace, A0, A1, t):
     mu1 = np.zeros(space.n)
     mu0[A0] = 1.0 / len(A0)
     mu1[A1] = 1.0 / len(A1)
-    plan = transport.dynamical_plan(
+    plan = loop_dynamical_plan(
         space, transport.Coupling(np.outer(mu0, mu1), mu0, mu1))
-    return sorted({transport._chain_vertices(space.dist, chain, [t])[0]
+    return sorted({loop_chain_vertices(space.dist, chain, [t])[0]
                    for chain in plan.chains.values()})

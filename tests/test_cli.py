@@ -372,6 +372,33 @@ class TestCdAndIneq:
         assert [r["lhs"] for r in rep] == [float(fmt(w.lhs)) for w in want]
         assert [r["rhs"] for r in rep] == [float(fmt(w.rhs)) for w in want]
 
+    @staticmethod
+    def two_points(tmp_path, d):
+        path = tmp_path / "two.json"
+        save_space(str(path), MeasuredSpace(
+            QuasiMetricSpace(np.array([[0.0, d], [d, 0.0]])), np.array([0.5, 0.5])))
+        return str(path)
+
+    def test_distortion_overflow_reports_inf(self, tmp_path):
+        # beta(60) is about 1e-195 at K = -1, t = 1/2, and (r/beta)^2
+        # overflows: the distorted side reads inf, which bounds anything
+        out = tmp_path / "cd.json"
+        assert main(["cd-check", self.two_points(tmp_path, 60.0), "--K", "-1",
+                     "--U", "P2", "--mu0", "[1, 0]", "--mu1", "[0, 1]",
+                     "--ts", "0.5", "-o", str(out)]) == 0
+        [rep] = json.loads(out.read_text())
+        assert (rep["lhs"], rep["rhs"]) == (1.0, "inf")
+        assert rep["details"]["certificate"] == "consistent"
+
+    @pytest.mark.parametrize("U", ["H", "P2"])
+    def test_distortion_underflow_exit_2(self, tmp_path, capsys, U):
+        # beta(100) = exp(-1250) rounds to 0 at K = -1, t = 1/2
+        assert main(["cd-check", self.two_points(tmp_path, 100.0), "--K", "-1",
+                     "--U", U, "--mu0", "[1, 0]", "--mu1", "[0, 1]",
+                     "--ts", "0.5"]) == 2
+        assert ("distortion coefficient underflows to 0 at distance 100 "
+                in capsys.readouterr().err)
+
     def test_bad_t_exit_2(self, gauss_file):
         assert main(["cd-check", str(gauss_file), "--K", "0",
                      "--ts", "0.5", "1.7"]) == 2

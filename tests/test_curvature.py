@@ -7,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    couplings,
     euclidean_grid_1d,
     euclidean_grid_2d,
     random_quasi_metric,
     smooth_density_pair,
 )
-from oracles import chain_loop_barycenters, row_loop_grad_norms
+from oracles import (
+    chain_loop_barycenters,
+    loop_u_beta_functional,
+    loop_u_functional,
+    row_loop_grad_norms,
+)
 from qmspace import (
     Coupling,
     DistortionParams,
@@ -251,6 +257,107 @@ class TestFunctionals:
         U = power_nonlinearity(2.0)
         got2 = u_beta_functional(U, pi, d, nu, params)
         assert got2 == pytest.approx(U.du0 * 1.0)
+
+
+class TestFunctionalsMatchLoops:
+    """``u_functional`` and ``u_beta_functional`` against their loops over
+    numpy scalars in ``oracles``: the same float, bit for bit."""
+
+    NONLINEARITIES = [entropy_nonlinearity(), un_nonlinearity(2.0),
+                      un_nonlinearity(3.0), power_nonlinearity(1.5),
+                      power_nonlinearity(2.0), power_nonlinearity(3.0)]
+
+    @given(couplings(), st.sampled_from(NONLINEARITIES),
+           st.sampled_from([-1.0, 0.0, 1.0]),
+           st.sampled_from([2.0, 3.0, INF]),
+           st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           st.sampled_from(["forward", "reversed"]),
+           st.sampled_from([1.0, 3.0]), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_values_are_the_loops(self, case, U, K, N, t, direction, scale,
+                                  seed):
+        # distances times 3 put the pairs of most spaces past the cutoff
+        # of K = 1 (beta = inf); zeroing some reference weights puts mass
+        # on nu-null points (the singular branch)
+        ms, coupling = case
+        rng = np.random.default_rng(seed)
+        nu = ms.weights * (rng.random(ms.n) < rng.uniform(0.5, 1.5))
+        dist = ms.space.dist * scale
+        params = DistortionParams(K, N, t)
+        got = u_beta_functional(U, coupling, dist, nu, params, direction)
+        want = loop_u_beta_functional(U, coupling, dist, nu, params, direction)
+        assert got == want
+        for mu in (coupling.mu, coupling.nu):
+            assert u_functional(U, mu, nu) == loop_u_functional(U, mu, nu)
+
+    @pytest.mark.parametrize("N", [2.0, 3.0])
+    @pytest.mark.parametrize("direction", ["forward", "reversed"])
+    def test_cutoff_branch_is_the_loops(self, N, direction):
+        # the product coupling of a wide Gaussian line joins points
+        # farther apart than the K = 1 model's diameter: beta = inf
+        ms = gaussian_line(1.0, 4.0, 0.25)
+        mu, nu = smooth_density_pair(ms, 2)
+        pi = Coupling(np.outer(mu, nu), mu, nu)
+        params = DistortionParams(1.0, N, 0.5)
+        got = {}
+        for U in self.NONLINEARITIES:
+            got[U.name] = u_beta_functional(U, pi, ms.space.dist, ms.weights,
+                                            params, direction)
+            assert got[U.name] == loop_u_beta_functional(
+                U, pi, ms.space.dist, ms.weights, params, direction)
+        assert got["H"] == got["U_2"] == -INF
+        assert math.isfinite(got["Power_2"])
+
+    def test_beta_is_called_once_per_distance(self, monkeypatch):
+        ms = euclidean_grid_2d(0.25)
+        mu, nu = smooth_density_pair(ms, 1)
+        pi = Coupling(np.outer(mu, nu), mu, nu)
+        calls = []
+
+        def counted(params, dxy):
+            calls.append(dxy)
+            return beta(params, dxy)
+
+        monkeypatch.setattr(curvature, "beta", counted)
+        params = DistortionParams(-1.0, 3.0, 0.5)
+        got = u_beta_functional(entropy_nonlinearity(), pi, ms.space.dist,
+                                ms.weights, params)
+        assert sorted(calls) == sorted(set(ms.space.dist.ravel().tolist()))
+        monkeypatch.undo()
+        assert got == loop_u_beta_functional(entropy_nonlinearity(), pi,
+                                             ms.space.dist, ms.weights, params)
+
+    @pytest.mark.parametrize("direction", ["forward", "reversed"])
+    def test_overflow_gives_the_loops_inf(self, direction):
+        # beta(60) = exp(-450) about 1e-195 at K = -1, t = 1/2, so U(r/beta)
+        # = (r/beta)^2 overflows: Python floats raise there, numpy scalars
+        # give inf, and so does the functional
+        mu, nu = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        pi = Coupling(np.outer(mu, nu), mu, nu)
+        dist = np.array([[0.0, 60.0], [60.0, 0.0]])
+        params = DistortionParams(-1.0, INF, 0.5)
+        U = power_nonlinearity(2.0)
+        got = u_beta_functional(U, pi, dist, [0.5, 0.5], params, direction)
+        with np.errstate(all="ignore"):
+            want = loop_u_beta_functional(U, pi, dist, [0.5, 0.5], params,
+                                          direction)
+        assert got == want == INF
+        # a density of 5e159 overflows U the same way in u_functional
+        with np.errstate(all="ignore"):
+            want = loop_u_functional(U, [0.5, 0.5], [1e-160, 1.0])
+        assert u_functional(U, [0.5, 0.5], [1e-160, 1.0]) == want == INF
+
+    @pytest.mark.parametrize("U", NONLINEARITIES, ids=lambda U: U.name)
+    def test_beta_underflow_names_the_distance(self, U):
+        # beta(100) = exp(-1250) rounds to 0 at K = -1, t = 1/2; U(r/beta)
+        # beta/r is then inf times 0, so the pair raises instead
+        mu, nu = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        pi = Coupling(np.outer(mu, nu), mu, nu)
+        dist = np.array([[0.0, 100.0], [100.0, 0.0]])
+        assert beta(DistortionParams(-1.0, INF, 0.5), 100.0) == 0.0
+        with pytest.raises(SpaceError, match="underflows to 0 at distance 100 "):
+            u_beta_functional(U, pi, dist, [0.5, 0.5],
+                              DistortionParams(-1.0, INF, 0.5))
 
 
 class TestCdCheck:

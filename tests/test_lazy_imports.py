@@ -80,7 +80,8 @@ def test_import_alone_loads_no_module():
 def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("inputs")
     paths = {k: str(tmp / f"{k}.json")
-             for k in ("funk", "line", "reversed", "prob", "out")}
+             for k in ("funk", "line", "reversed", "skewed", "prob", "cg",
+                       "out")}
     assert cli.main(["gen", "funk", "--dim", "2", "--grid", "0.5",
                      "--clip-r", "1", "-o", paths["funk"]]) == 0
     assert cli.main(["gen", "gaussian-line", "--K", "1", "--half-width", "2",
@@ -89,9 +90,20 @@ def inputs(tmp_path_factory):
         funk = json.load(fh)
     with open(paths["reversed"], "w") as fh:
         json.dump(dict(funk, weights=funk["weights"][::-1]), fh)
+    with open(paths["skewed"], "w") as fh:
+        n = len(funk["weights"])
+        json.dump(dict(funk, weights=[(k + 1) / n for k in range(n)]), fh)
     with open(paths["prob"], "w") as fh:
         json.dump({"dist": [[0, 2, 1], [1, 0, 2], [2, 1, 0]],
                    "mu": [0.5, 0.3, 0.2], "nu": [0.2, 0.3, 0.5], "p": 2}, fh)
+    # distinct costs in [1, 2): a quasi-metric whose LP column generation
+    # solves
+    rng = np.random.default_rng(5)
+    dist = 1.0 + rng.random((6, 6))
+    np.fill_diagonal(dist, 0.0)
+    with open(paths["cg"], "w") as fh:
+        json.dump({"dist": dist.tolist(), "mu": [0.3, 0.1, 0.2, 0.1, 0.2, 0.1],
+                   "nu": [0.1, 0.2, 0.1, 0.3, 0.1, 0.2], "p": 1}, fh)
     return paths
 
 
@@ -123,6 +135,38 @@ def test_each_command_loads_only_its_layers(inputs, command):
     argv = [a.format(**inputs) for a in argv] + ["-o", inputs["out"]]
     assert sorted(_qmspace_modules_after(*argv)) == sorted(
         ["core", "io", "cli", *layers])
+
+
+NUMPY_CHILD = """
+import json, sys
+import qmspace.cli
+assert qmspace.cli.main(sys.argv[1:]) == 0
+print(json.dumps([m for m in ("numpy.ma", "numpy.random") if m in sys.modules]))
+"""
+
+#: commands that load neither numpy.ma (numpy 2.4's np.unique and the set
+#: routines built on it import it first) nor numpy.random, but where they
+#: draw from a seed: ineq draws its test density
+NUMPY_COMMANDS = {
+    "dist-prokhorov": (["dist", "prokhorov", "{funk}", "{skewed}"], []),
+    "dist-ghp": (["dist", "ghp", "{funk}", "{funk}", "--theta", "6"], []),
+    "dist-hausdorff": (["dist", "hausdorff", "{funk}", "--set-a", "0",
+                        "--set-b", "1"], []),
+    "dist-w": (["dist", "w", "{cg}"], []),
+    "ineq": (["ineq", "{line}", "--K", "1", "--hwi"], ["numpy.random"]),
+    "gen-radial-shells-dim-2": (["gen", "funk", "--dim", "2", "--strategy",
+                                 "radial-shells", "--count", "30"], []),
+}
+
+
+@pytest.mark.parametrize("command", NUMPY_COMMANDS)
+def test_numpy_submodules_each_command_loads(inputs, command):
+    argv, loaded = NUMPY_COMMANDS[command]
+    argv = [a.format(**inputs) for a in argv] + ["-o", inputs["out"]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", NUMPY_CHILD, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == loaded
 
 
 LP_CHILD = """

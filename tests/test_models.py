@@ -270,6 +270,23 @@ class TestSampling:
         assert np.array_equal(a.space.coords, b.space.coords)
         assert np.array_equal(a.space.dist, b.space.dist)
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_radial_shells_in_dim_3_draw_one_seeded_stream(self, seed):
+        # one generator, made before the first shell, draws every shell's
+        # directions in turn (dim 2 spaces its directions evenly instead)
+        spec = SampleSpec(strategy="radial-shells", count=40, seed=seed,
+                          clip_radius=0.5)
+        model = FunkBall(dim=3)
+        radius = model.euclidean_clip_radius(spec.clip_radius)
+        rng = np.random.default_rng(seed)
+        want = [np.zeros((1, 3))]
+        for r in np.linspace(radius / 6, radius, 6):  # round(sqrt(40)) shells
+            dirs = rng.normal(size=(40 // 6, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            want.append(r * dirs)
+        got = sample(model, spec)
+        assert np.array_equal(got.space.coords, np.concatenate(want))
+
     def test_seeded_uniform_counts(self):
         ms = sample(FunkBall(dim=2),
                     SampleSpec(strategy="seeded-uniform", count=50, seed=1))

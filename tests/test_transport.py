@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    couplings,
     euclidean_grid_1d,
     euclidean_grid_2d,
     random_quasi_metric,
@@ -16,6 +17,7 @@ from conftest import (
 )
 from qmspace import (
     Coupling,
+    DynamicalPlan,
     FunkBall,
     Interpolation,
     MeasuredSpace,
@@ -39,7 +41,12 @@ from qmspace.io import PLAN_TOL
 from qmspace.transport import default_hop_radius
 
 
-from oracles import polytope_vertex_minimum, transport_constraints
+from oracles import (
+    loop_dynamical_plan,
+    loop_interpolate,
+    polytope_vertex_minimum,
+    transport_constraints,
+)
 
 
 class TestWasserstein:
@@ -1428,6 +1435,60 @@ class TestInterpolate:
         ms, plan = self.make_plan()
         with pytest.raises(SpaceError):
             interpolate(plan, [1.5])
+
+
+class TestChainKernelsMatchLoops:
+    """``dynamical_plan`` and ``interpolate`` against their loops in
+    ``oracles``: the same chains in the same order, bitwise the same
+    measures, and the same error for the same first pair."""
+
+    TIMES = st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                               st.floats(0.0, 1.0)), min_size=1, max_size=4)
+
+    @given(couplings(), TIMES)
+    @settings(max_examples=80, deadline=None)
+    def test_chains_and_measures_are_the_loops(self, case, ts):
+        ms, coupling = case
+        try:
+            want = loop_dynamical_plan(ms.space, coupling)
+        except SpaceError as exc:
+            with pytest.raises(SpaceError) as got:
+                dynamical_plan(ms.space, coupling)
+            assert str(got.value) == str(exc)
+            return
+        plan = dynamical_plan(ms.space, coupling)
+        assert list(plan.chains.items()) == list(want.chains.items())
+        assert {type(v) for c in plan.chains.values() for v in c} == {int}
+        got, ref = interpolate(plan, ts), loop_interpolate(want, ts)
+        assert got.ts == ref.ts
+        for a, b in zip(got.measures, ref.measures, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_first_pair_without_a_chain_raises(self):
+        # 12 points on a circle, chords only between neighbours: the
+        # antipodal pairs (0, 6) and (1, 7) take 6 chords, 3.106 against
+        # 1.5 x 2, and (0, 6) comes first in row-major order
+        angles = 2 * np.pi * np.arange(12) / 12
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        space = QuasiMetricSpace(np.linalg.norm(pts[:, None] - pts[None], axis=2))
+        mu, nu = np.zeros(12), np.zeros(12)
+        mu[[0, 1]] = 0.5
+        nu[[5, 6, 7]] = 1 / 3
+        coupling = Coupling(np.outer(mu, nu), mu, nu)
+        with pytest.raises(SpaceError) as want:
+            loop_dynamical_plan(space, coupling)
+        assert str(want.value).startswith("no chain from 0 to 6 within")
+        with pytest.raises(SpaceError) as got:
+            dynamical_plan(space, coupling)
+        assert str(got.value) == str(want.value)
+
+    def test_plan_without_chains_gives_zero_measures(self):
+        space = euclidean_grid_1d(0.25).space
+        mu = np.full(space.n, 1 / space.n)
+        plan = DynamicalPlan(space, Coupling(np.diag(mu), mu, mu), {})
+        interp = interpolate(plan, [0.0, 0.5])
+        assert [m.tolist() for m in interp.measures] == [[0.0] * space.n] * 2
+        assert {m.dtype for m in interp.measures} == {np.dtype(float)}
 
 
 def test_geodesy_residual_shrinks_with_pitch():
