@@ -19,6 +19,7 @@ import numpy as np
 
 from . import core
 from .io import (
+    _dumps,
     _plain,
     fmt,
     load_problem,
@@ -33,9 +34,9 @@ CHECK_FAILED = 1
 
 
 def _jsonable(x):
-    """Round numbers through the 12-digit formatter for stable reports."""
+    """Round numbers to 12 digits and sort dict keys, for stable reports."""
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
+        return {k: _jsonable(x[k]) for k in sorted(x)}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
@@ -55,7 +56,7 @@ def _jsonable(x):
 def _report_text(obj, fmt_name: str) -> str:
     obj = _jsonable(obj)
     if fmt_name == "json":
-        return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+        return _dumps(obj) + "\n"
     # csv: flat list of records only
     rows = obj if isinstance(obj, list) else [obj]
     keys = sorted({k for r in rows for k in r if not isinstance(r[k], (dict, list))})
@@ -366,8 +367,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize --help to 0
         return int(exc.code or 0)
-    except (core.SpaceError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SpaceError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

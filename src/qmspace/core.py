@@ -225,13 +225,22 @@ def dijkstra(d: np.ndarray, radius: float, sources=None, limit=np.inf,
     return dist.reshape(shape), pred.reshape(shape)
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """``x`` as a float array; SpaceError where numpy cannot make one (a
+    dict, a ragged list, a word).  None becomes NaN."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise SpaceError(f"{what} must be an array of numbers") from None
+
+
 def _measure(w, n: int, what: str) -> np.ndarray:
     """``w`` as a float vector of n finite, nonnegative masses.
 
     The one check of a weight vector or marginal: every measure that
     enters the package passes through here or raises SpaceError.
     """
-    w = np.asarray(w, dtype=float)
+    w = _floats(w, what)
     if w.shape != (n,):
         raise SpaceError(f"{what} must have length {n}, got shape {w.shape}")
     if not (np.isfinite(w).all() and (w >= 0).all()):
@@ -252,14 +261,18 @@ class QuasiMetricSpace:
     coords: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
+        d = _floats(self.dist, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise SpaceError(f"distance matrix must be square, got shape {d.shape}")
         if not np.isfinite(d).all():
             raise SpaceError("distance matrix has non-finite entries")
         object.__setattr__(self, "dist", d)
         if self.coords is not None:
-            object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
+            c = _floats(self.coords, "coords")
+            if c.shape[:1] != d.shape[:1]:
+                raise SpaceError(f"coords need one row per point, got shape "
+                                 f"{c.shape} for {len(d)} points")
+            object.__setattr__(self, "coords", c)
 
     @property
     def n(self) -> int:
@@ -284,9 +297,10 @@ class MeasuredSpace:
         object.__setattr__(self, "weights",
                            _measure(self.weights, self.space.n, "weights"))
         if self.basepoint is not None:
-            object.__setattr__(self, "basepoint",
-                               int(_indices(self.basepoint, self.space.n,
-                                            "basepoint")))
+            b = _indices(self.basepoint, self.space.n, "basepoint")
+            if b.ndim:
+                raise SpaceError("basepoint must be one point index")
+            object.__setattr__(self, "basepoint", int(b))
 
     @property
     def n(self) -> int:

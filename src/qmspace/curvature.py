@@ -104,7 +104,11 @@ def s_kn(K: float, N: float, r: float) -> float:
         return math.sqrt((N - 1) / K) * math.sin(r * math.sqrt(K / (N - 1)))
     if K == 0:
         return r
-    return math.sqrt((N - 1) / -K) * math.sinh(r * math.sqrt(-K / (N - 1)))
+    try:
+        return math.sqrt((N - 1) / -K) * math.sinh(r * math.sqrt(-K / (N - 1)))
+    except OverflowError:
+        raise SpaceError(
+            f"s_kn overflows at radius {r:.6g} (K={K}, N={N})") from None
 
 
 @dataclass(frozen=True)
@@ -121,28 +125,44 @@ class DistortionParams:
         _bounds(self.K, self.N)
 
 
+def _sinc(K: float, N: float, r: float) -> float:
+    """s_kn(K, N, r) / r for K != 0 and r within the cutoff: sin(x)/x or
+    sinh(x)/x at x = r sqrt(|K|/(N-1)), and 1 where x is 0, so a
+    subnormal r loses no digits."""
+    x = r * math.sqrt(abs(K) / (N - 1))
+    if x == 0.0:
+        return 1.0
+    return (math.sin(x) if K > 0 else math.sinh(x)) / x
+
+
 def beta(params: DistortionParams, dxy: float) -> float:
     """Distortion coefficient comparing spreading to the (K, N) model.
 
-    Returns math.inf on the positive-curvature cutoff branch.
+    Returns math.inf on the positive-curvature cutoff branch.  For finite
+    N and K != 0 it is (s_kn(t d)/(t d) / (s_kn(d)/d))^(N-1), which no
+    underflow of t d can turn into 0/0.  A coefficient beyond the float
+    range raises SpaceError: it is finite, and so is U(r/beta) beta/r.
     """
     K, N, t = params.K, params.N, params.t
     if dxy < 0:
         raise SpaceError("distance must be nonnegative")
     if t == 0.0 or dxy == 0.0:
         return 1.0
-    if N == INF:
-        return math.exp(K / 6.0 * (1.0 - t * t) * dxy * dxy)
     if N == 1.0:
         # limit N -> 1: the cutoff radius shrinks to 0 for K > 0
         return INF if K > 0 else 1.0
-    if K > 0 and dxy >= _cutoff(K, N):
+    if K > 0 and N < INF and dxy >= _cutoff(K, N):
         return INF
-    if K == 0:
+    if K == 0 or t == 1.0:
         return 1.0
-    if t == 1.0:
-        return 1.0
-    return (s_kn(K, N, t * dxy) / (t * s_kn(K, N, dxy))) ** (N - 1)
+    try:
+        if N == INF:
+            return math.exp(K / 6.0 * (1.0 - t * t) * dxy * dxy)
+        return (_sinc(K, N, t * dxy) / _sinc(K, N, dxy)) ** (N - 1)
+    except OverflowError:
+        raise SpaceError(
+            f"distortion coefficient overflows at distance {dxy:.6g} "
+            f"(K={K}, N={N}, t={t})") from None
 
 
 @dataclass(frozen=True)
@@ -162,6 +182,25 @@ class Nonlinearity:
     p2: callable
     du0: float
     du_inf: float
+
+
+def _at(f, r: float) -> float:
+    """The one evaluator of a ``Nonlinearity`` callable: f(r) on a Python
+    float, and where Python raises (``**`` overflowing, division by 0)
+    the inf or NaN of f on a numpy scalar, with warnings off."""
+    try:
+        return f(r)
+    except (OverflowError, ZeroDivisionError):
+        with np.errstate(all="ignore"):
+            return float(f(np.float64(r)))
+
+
+def _with_null_mass(U: Nonlinearity, total: float, mass: np.ndarray) -> float:
+    """``total`` plus U'(inf) times the mass on nu-null points."""
+    singular = float(mass.sum())
+    if singular > 0:
+        total = INF if U.du_inf == INF else total + U.du_inf * singular
+    return float(total)
 
 
 def un_nonlinearity(N: float) -> Nonlinearity:
@@ -224,11 +263,11 @@ def dcn_membership(U: Nonlinearity, N: float, r_grid) -> FunctionalReport:
         raise SpaceError("r grid must not be empty")
     if np.any(rs <= 0):
         raise SpaceError("r grid must be positive")
-    p = np.array([U.p(r) for r in rs])
-    p2 = np.array([U.p2(r) for r in rs])
+    p = np.array([_at(U.p, r) for r in rs.tolist()])
+    p2 = np.array([_at(U.p2, r) for r in rs.tolist()])
     # U may vanish at 0 only at a fractional rate (like r^(1-1/N)), so
     # check decay along a shrinking sequence rather than one tiny value
-    u_small = [abs(U.u(r)) for r in (1e-6, 1e-9, 1e-12)]
+    u_small = [abs(_at(U.u, r)) for r in (1e-6, 1e-9, 1e-12)]
     if not all(np.isfinite(u_small)) or not (
             u_small[2] <= u_small[1] <= u_small[0] and u_small[2] < 1e-3):
         raise SpaceError(f"{U.name}: U does not vanish at 0")
@@ -258,18 +297,8 @@ def u_functional(U: Nonlinearity, mu, nu) -> float:
     ac = nu > 0
     total = 0.0
     for m, w in zip(mu[ac].tolist(), nu[ac].tolist()):
-        try:
-            total += U.u(m / w) * w
-        except (OverflowError, ZeroDivisionError):
-            # Python floats raise where numpy scalars give inf or NaN
-            with np.errstate(all="ignore"):
-                total += U.u(np.float64(m) / w) * w
-    singular = float(mu[~ac].sum())
-    if singular > 0:
-        if U.du_inf == INF:
-            return INF
-        total += U.du_inf * singular
-    return float(total)
+        total += _at(U.u, m / w) * w
+    return _with_null_mass(U, total, mu[~ac])
 
 
 def u_beta_functional(U: Nonlinearity, pi: Coupling, dist: np.ndarray,
@@ -314,19 +343,8 @@ def u_beta_functional(U: Nonlinearity, pi: Coupling, dist: np.ndarray,
                 return -INF
             total += U.du0 * mass
         else:
-            try:
-                total += U.u(r / b) * (b / r) * mass
-            except (OverflowError, ZeroDivisionError):
-                # Python floats raise where numpy scalars give inf or NaN
-                with np.errstate(all="ignore"):
-                    r = np.float64(r)
-                    total += U.u(r / b) * (b / r) * mass
-    singular = float(marg[~ac].sum())
-    if singular > 0:
-        if U.du_inf == INF:
-            return INF
-        total += U.du_inf * singular
-    return float(total)
+            total += _at(U.u, r / b) * (b / r) * mass
+    return _with_null_mass(U, total, marg[~ac])
 
 
 def cd_check(mspace: MeasuredSpace, mu0, mu1, K: float, N: float,
@@ -508,7 +526,11 @@ def bishop_gromov_profile(mspace: MeasuredSpace, x0: int, K: float, N: float,
     profile = []
     for r in radii:
         mass = float(nu[ball(mspace.space, BallSpec(x0, r, closed=True))].sum())
-        denom = r ** N / N if K == 0 else _model_volume(K, N, r)
+        try:
+            denom = r ** N / N if K == 0 else _model_volume(K, N, r)
+        except OverflowError:
+            raise SpaceError(f"model volume overflows at radius {r:.6g} "
+                             f"(K={K}, N={N})") from None
         profile.append(mass / denom if denom > 0 else INF)
     worst = 0.0
     for a, b in zip(profile, profile[1:]):

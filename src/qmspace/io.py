@@ -69,14 +69,10 @@ def _plain(obj) -> QuasiMetricSpace:
 def _space_from_dict(obj: dict):
     if "dist" not in obj:
         raise SpaceError("space object needs a 'dist' matrix")
-    dist = np.asarray(obj["dist"], dtype=float)
-    n = int(obj.get("n", dist.shape[0]))
-    if dist.shape != (n, n):
-        raise SpaceError(f"dist shape {dist.shape} does not match n={n}")
-    coords = obj.get("coords")
-    if coords is not None:
-        coords = np.asarray(coords, dtype=float)
-    space = QuasiMetricSpace(dist, coords=coords)
+    space = QuasiMetricSpace(obj["dist"], coords=obj.get("coords"))
+    n = obj.get("n", space.n)
+    if not (isinstance(n, (int, float)) and n == space.n):
+        raise SpaceError(f"dist shape {space.dist.shape} does not match n={n!r}")
     if "weights" in obj:
         return MeasuredSpace(space, obj["weights"], obj.get("basepoint"))
     return space
@@ -99,17 +95,17 @@ def load_space(path: str):
 
 
 def _dumps(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=1)``, byte for byte, at nesting ``level``.
+    """``json.dumps(value, indent=1)``, byte for byte, at nesting ``level``:
+    the one JSON writer of space and problem files and CLI reports.
 
     Any ``indent`` sends json to its pure-Python encoder, which spends
     most of a space file's save on the distance matrix.  Here a list of
     finite floats is joined from ``float.__repr__``, as json writes each
-    float; dicts with string keys and other lists recurse; everything
-    else, non-finite floats included, goes through ``json.dumps``.
-    """
+    float; dicts (keys as json writes them) and other lists recurse; the
+    rest, non-finite floats included, goes through ``json.dumps``."""
     inner = "\n" + " " * (level + 1)
     close = "\n" + " " * level
-    if isinstance(value, list) and value:
+    if isinstance(value, (list, tuple)) and value:
         try:
             text = ("," + inner).join(map(float.__repr__, value))
         except TypeError:  # not all floats
@@ -117,11 +113,12 @@ def _dumps(value, level: int = 0) -> str:
         if "n" in text:  # "nan", "inf", or not all floats
             text = ("," + inner).join(_dumps(v, level + 1) for v in value)
         return "[" + inner + text + close + "]"
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+    if isinstance(value, dict) and value and all(
+            isinstance(k, (str, int, float)) or k is None for k in value):
         return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _dumps(v, level + 1)
-            for k, v in value.items()) + close + "}"
-    return json.dumps(value, indent=1).replace("\n", close)
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + _dumps(v, level + 1) for k, v in value.items()) + close + "}"
+    return json.dumps(value)
 
 
 def _space_to_dict(space, metadata: dict | None = None) -> dict:
@@ -150,8 +147,11 @@ def load_problem(path: str) -> TransportProblem:
     for key in ("mu", "nu"):
         if key not in obj:
             raise SpaceError(f"{path}: missing '{key}'")
+    p = obj.get("p", 1.0)
+    if not isinstance(p, (int, float)):
+        raise SpaceError(f"{path}: 'p' must be a number, got {p!r}")
     return TransportProblem(_plain(_space_from_dict(obj)), obj["mu"],
-                            obj["nu"], float(obj.get("p", 1.0)))
+                            obj["nu"], float(p))
 
 
 def save_problem(path: str, problem: TransportProblem):

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qmspace import (
     ghp_upper,
     wasserstein,
 )
+from qmspace import cli
 from qmspace.cli import main
 from qmspace.io import (
     _dumps,
@@ -102,8 +105,8 @@ class TestIo:
 
     @given(st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-        lambda inner: st.lists(inner) | st.dictionaries(
-            st.text() | st.integers() | st.floats(), inner),
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text() | st.integers() | st.floats(), inner),
         max_leaves=30))
     @settings(max_examples=200, deadline=None)
     def test_writer_matches_json_dumps(self, value):
@@ -390,6 +393,19 @@ class TestCdAndIneq:
         assert (rep["lhs"], rep["rhs"]) == (1.0, "inf")
         assert rep["details"]["certificate"] == "consistent"
 
+    @pytest.mark.parametrize("d, K, N", [(100.0, "1", "inf"),
+                                         (2000.0, "-1", "3")])
+    def test_distortion_overflow_exit_2(self, tmp_path, capsys, d, K, N):
+        # exp(1250) and sinh(2000 / sqrt(2)) are past the float range:
+        # math.exp and math.sinh raised OverflowError through main
+        assert main(["cd-check", self.two_points(tmp_path, d), "--K", K,
+                     "--N", N, "--mu0", "[1, 0]", "--mu1", "[0, 1]",
+                     "--ts", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: distortion coefficient overflows at "
+                              f"distance {d:g} (K={float(K)}, N={float(N)}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("U", ["H", "P2"])
     def test_distortion_underflow_exit_2(self, tmp_path, capsys, U):
         # beta(100) = exp(-1250) rounds to 0 at K = -1, t = 1/2
@@ -502,3 +518,82 @@ class TestNonFiniteInput:
         assert main(["cd-check", str(line), "--K", "1", "--mu0", mu0,
                      "--mu1", mu1]) == 2
         assert "mu must be finite and nonnegative" in capsys.readouterr().err
+
+
+#: space and problem files whose values are no numbers, or not of the
+#: shape they name; each ended in numpy's TypeError or IndexError
+MEASURED = {"dist": D3, "weights": [0.2, 0.3, 0.5]}
+MALFORMED_FILES = {
+    "dist_dict": ["report", {"dist": {"a": 1}}],
+    "dist_scalar": ["report", {"dist": 5}],
+    "dist_null": ["report", {"dist": None}],
+    "n_list": ["report", {**MEASURED, "n": [3]}],
+    "weights_dict": ["report", {**MEASURED, "weights": {"a": 1}}],
+    "basepoint_list": ["report", {**MEASURED, "basepoint": [0]}],
+    "coords_dict": ["report", {**MEASURED, "coords": {"a": 1}}],
+    "problem_p_list": ["dist", "w", {"dist": D3, "mu": [1, 0, 0],
+                                     "nu": [0, 0, 1], "p": [2]}],
+    "problem_mu_dict": ["dist", "w", {"dist": D3, "mu": {"a": 1},
+                                      "nu": [0, 0, 1]}],
+    "cd_mu1_dict": ["cd-check", MEASURED, "--K", "0", "--mu0", "[1, 0, 0]",
+                    "--mu1", "{}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_input_exit_2(tmp_path, capsys, case):
+    argv = [write_json(tmp_path / "in.json", a) if isinstance(a, dict) else a
+            for a in MALFORMED_FILES[case]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_reports_are_json_dumps_with_sorted_keys(tmp_path, funk_file,
+                                                  gauss_file, monkeypatch):
+    # every command's report, written by io._dumps, is the text
+    # json.dumps(indent=1, sort_keys=True) writes
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda r, a: (reports.append(r), emit(r, a)))
+    broken = json.loads(funk_file.read_text())
+    broken["dist"][0][1] = 10.0
+    broken = write_json(tmp_path / "broken.json", broken)
+    prob = tmp_path / "prob.json"
+    save_problem(str(prob), TransportProblem(QuasiMetricSpace(D3),
+                                             [0.2, 0.3, 0.5], [0.5, 0.5, 0.0], 2.0))
+    funk, gauss = str(funk_file), str(gauss_file)
+    out = str(tmp_path / "out")
+    runs = [
+        ["validate", funk], ["validate", broken], ["report", funk],
+        ["report", gauss], ["dist", "w", str(prob)],
+        ["dist", "gh", funk, funk, "--theta", "3"],
+        ["dist", "ghp", funk, funk, "--theta", "3"],
+        ["dist", "prokhorov", gauss, gauss],
+        ["dist", "hausdorff", funk, "--set-a", "0", "1", "--set-b", "2"],
+        ["cd-check", gauss, "--K", "1"],
+        ["ineq", gauss, "--K", "1", "--log-sobolev", "--hwi", "--poincare"],
+    ]
+    for argv in runs:
+        assert main(argv + ["-o", out]) in (0, 1)
+    assert len(reports) == len(runs)
+    for report in reports:
+        want = json.dumps(cli._jsonable(report), indent=1, sort_keys=True)
+        assert cli._report_text(report, "json") == want + "\n"
+
+
+def _readme_commands():
+    """The lines of README.md's "Command line" block, without "qmspace"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert lines and all(line.startswith("qmspace ") for line in lines)
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        assert main(argv) == 0, argv
+    assert "error" not in capsys.readouterr().err

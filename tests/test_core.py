@@ -610,3 +610,22 @@ NAN_GUARDS = {
 def test_nan_parameter_raises(guard):
     with pytest.raises(SpaceError):
         NAN_GUARDS[guard]()
+
+
+#: each place a value enters ``core``, given what is no array of numbers
+#: or not of the shape it names; numpy raised TypeError or ValueError
+MALFORMED = {
+    "dist_dict": lambda: QuasiMetricSpace({"a": 1}),
+    "dist_ragged": lambda: QuasiMetricSpace([[0.0, 1.0], [1.0]]),
+    "coords_dict": lambda: QuasiMetricSpace(S3.dist, coords={"a": 1}),
+    "coords_rows": lambda: QuasiMetricSpace(S3.dist, coords=np.zeros((2, 2))),
+    "weights_dict": lambda: MeasuredSpace(S3, {"a": 1}),
+    "weights_word": lambda: MeasuredSpace(S3, ["a", "b", "c"]),
+    "basepoint_list": lambda: MeasuredSpace(S3, np.ones(3), basepoint=[0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MALFORMED))
+def test_malformed_value_raises(entry):
+    with pytest.raises(SpaceError):
+        MALFORMED[entry]()

@@ -85,6 +85,12 @@ class TestComparisonProfile:
         with pytest.raises(SpaceError):
             s_kn(1.0, 1.0, 0.5)
 
+    def test_overflow_names_the_radius(self):
+        # sinh(2000 / sqrt(2)) is past the float range
+        with pytest.raises(SpaceError, match=re.escape(
+                "s_kn overflows at radius 2000 (K=-1.0, N=3.0)")):
+            s_kn(-1.0, 3.0, 2000.0)
+
 
 class TestDistortionCoefficient:
     def test_flat_is_one(self):
@@ -121,6 +127,24 @@ class TestDistortionCoefficient:
         K, N, t, d = -1.0, 4.0, 0.4, 1.1
         want = (s_kn(K, N, t * d) / (t * s_kn(K, N, d))) ** (N - 1)
         assert beta(DistortionParams(K, N, t), d) == pytest.approx(want)
+
+    @pytest.mark.parametrize("K", [-1.0, 1.0])
+    @pytest.mark.parametrize("d", [0.25, 0.5, 2.0])
+    def test_subnormal_t_is_the_small_t_limit(self, K, d):
+        # t d underflows to 0 (d = 0.25, 0.5) or to a subnormal (d = 2):
+        # beta is then (d / s_kn(d))^(N-1), not 0/0 or 0
+        want = d / (math.sin(d) if K > 0 else math.sinh(d))
+        got = beta(DistortionParams(K, 2.0, 5e-324), d)
+        assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("K, N, d", [(1.0, INF, 100.0), (-1.0, 3.0, 2000.0)])
+    def test_overflow_names_the_distance(self, K, N, d):
+        # exp(1250) and sinh(2000 / sqrt(2)) are past the float range;
+        # the coefficient itself is finite
+        with pytest.raises(SpaceError, match=re.escape(
+                f"distortion coefficient overflows at distance {d:g} "
+                f"(K={K}, N={N}, t=0.5)")):
+            beta(DistortionParams(K, N, 0.5), d)
 
     def test_monotone_in_curvature(self):
         # spreading slower than flat needs K < 0, faster needs K > 0
@@ -359,6 +383,42 @@ class TestFunctionalsMatchLoops:
             u_beta_functional(U, pi, dist, [0.5, 0.5],
                               DistortionParams(-1.0, INF, 0.5))
 
+    @pytest.mark.parametrize("K", [-1.0, 1.0])
+    @pytest.mark.parametrize("N", [2.0, 3.0, INF])
+    @pytest.mark.parametrize("direction", ["forward", "reversed"])
+    def test_subnormal_t_is_the_loops(self, K, N, direction):
+        # t = 5e-324 made t s_kn(t d) 0/0 in beta, or beta 0
+        ms = euclidean_grid_2d(0.25)
+        mu, nu = smooth_density_pair(ms, 3)
+        pi = Coupling(np.outer(mu, nu), mu, nu)
+        params = DistortionParams(K, N, 5e-324)
+        for U in self.NONLINEARITIES:
+            got = u_beta_functional(U, pi, ms.space.dist, ms.weights, params,
+                                    direction)
+            assert math.isfinite(got)
+            assert got == loop_u_beta_functional(
+                U, pi, ms.space.dist, ms.weights, params, direction)
+
+    def test_nonlinearities_go_through_one_evaluator(self, monkeypatch):
+        # every call of U, p and p2 in the module goes through _at
+        calls = []
+
+        def counted(f, r):
+            calls.append(f)
+            return at(f, r)
+
+        at = curvature._at
+        monkeypatch.setattr(curvature, "_at", counted)
+        U = power_nonlinearity(2.0)
+        mu = np.array([0.2, 0.8])
+        pi = Coupling(np.outer(mu, mu), mu, mu)
+        u_functional(U, mu, [0.5, 0.5])
+        u_beta_functional(U, pi, np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          [0.5, 0.5], DistortionParams(-1.0, 3.0, 0.5))
+        dcn_membership(U, 3.0, [0.5, 1.0])
+        assert calls.count(U.u) == 2 + 4 + 3
+        assert calls.count(U.p) == calls.count(U.p2) == 2
+
 
 class TestCdCheck:
     def test_flat_grid_dimensional(self):
@@ -551,6 +611,13 @@ class TestBishopGromov:
         monkeypatch.setattr(curvature, "VOLUME_ORDERS", (4, 8))
         with pytest.raises(SpaceError, match="did not converge"):
             _model_volume(-10.0, 20.0, 3.0)
+
+    def test_flat_volume_overflow_names_the_radius(self):
+        # 1000^200 is past the float range
+        ms = euclidean_grid_2d(0.25)
+        with pytest.raises(SpaceError, match=re.escape(
+                "model volume overflows at radius 1000 (K=0.0, N=200.0)")):
+            bishop_gromov_profile(ms, 0, 0.0, 200.0, [10.0, 1000.0])
 
     def test_model_volume_raises_on_overflow(self):
         # sinh(r / 20)^399 overflows: inf must not pass as a volume
