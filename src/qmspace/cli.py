@@ -228,7 +228,8 @@ def cmd_cd(args) -> int:
     if (args.mu0 is None) != (args.mu1 is None):
         raise core.SpaceError("--mu0 and --mu1 must be given together")
     if args.mu0 is not None:
-        mu0, mu1 = json.loads(args.mu0), json.loads(args.mu1)
+        mu0 = core._measure(json.loads(args.mu0), ms.n, "--mu0")
+        mu1 = core._measure(json.loads(args.mu1), ms.n, "--mu1")
     else:
         mu0, mu1 = _density_pair(ms, args.seed)
     reports = curvature.cd_check(ms, mu0, mu1, args.K, N, U, args.ts)

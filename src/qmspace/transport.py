@@ -59,6 +59,9 @@ MASS_TOL = 1e-12
 #: HiGHS's primal_feasibility_tolerance: presolve turns the row of a
 #: mass at or below it into a forcing row
 PRESOLVE_MASS = 1e-7
+#: HiGHS's dual_feasibility_tolerance: at its default the dense LP stops
+#: once no cell prices below minus this
+_HIGHS_DUAL_TOL = 1e-7
 DUALITY_TOL = 1e-7
 #: column generation starts from this many cheapest cells per row and
 #: per column; adds a cell whose reduced cost, relative to the largest
@@ -187,8 +190,8 @@ class _Optimum(NamedTuple):
     """A transport LP's optimum: its value, the nr x nc plan, the row
     duals u (nr entries) and the column duals v (nc entries, v[-1] = 0),
     with u[i] + v[j] <= c[i, j] and equality where the plan is not 0.
-    ``basis`` is column generation's accepted tree, in ``linprog``'s
-    form: int8 statuses of the nr * nc cells, then of the LP's rows; None
+    ``basis`` is column generation's accepted tree: its cells (indices
+    i * nc + j) and the int8 ``linprog`` statuses of the LP's rows; None
     on the other routes."""
 
     value: float
@@ -341,14 +344,15 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
     (after the shortlist method of Gottschlich and Schuhmacher 2014)
     where ``_tries_column_generation`` says so.  An accepted plan is the
     answer if no forcing row was dropped; otherwise ``_forcing_basis``
-    completes its tree as HiGHS's postsolve would, and ``linprog`` solves
-    the full LP from that basis.
+    completes its tree as HiGHS's postsolve would, and ``_basis_lp``
+    solves the LP over that basis's columns.
 
     In every other case the full LP goes to ``_dense_lp`` once, without a
     start basis: tied costs (whose optimum is rarely unique: cd-check's
-    grids), an attempt that is refused or not tried, and a reduced LP
-    that the attempt finds infeasible (the dropped masses of mu outweigh
-    those of nu and nu's last mass by more than _CG_HIGHS_TOL).  HiGHS
+    grids), an attempt that is refused or not tried, a reduced LP that
+    the attempt finds infeasible (the dropped masses of mu outweigh those
+    of nu and nu's last mass by more than _CG_HIGHS_TOL), and a completed
+    basis that ``_basis_lp`` does not find optimal for the full LP.  HiGHS
     presolve never runs.  ``_solve_lp``'s certificate checks every route.
     """
     if _strictly_monge(c):
@@ -358,23 +362,50 @@ def _transport_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
     kept = c[np.ix_(keep_r, keep_c)]
     opt = (_column_generation(kept, a[keep_r], b[keep_c])
            if _tries_column_generation(kept) else None)
-    if opt is None:
-        return _dense_lp(c, a, b)
-    if keep_r.all() and keep_c.all():
-        return opt
-    return _dense_lp(c, a, b, basis=_forcing_basis(c, opt, keep_r, keep_c))
+    if opt is not None and not (keep_r.all() and keep_c.all()):
+        opt = _basis_lp(c, a, b, *_forcing_basis(c, opt, keep_r, keep_c))
+    return _dense_lp(c, a, b) if opt is None else opt
 
 
-def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis=None) -> _Optimum:
+def _dense_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
     """The ``_Optimum`` of the transport LP of ``_transport_lp`` over every
-    cell, solved by ``linprog`` (from ``basis`` if given); SpaceError if
-    HiGHS does not find it optimal."""
+    cell, solved by ``linprog``; SpaceError if HiGHS does not find it
+    optimal."""
     nr, nc = c.shape
     res = linprog(c.ravel(), A_eq=_transport_csc(nr, nc),
-                  b_eq=np.concatenate([a, b[:-1]]), basis=basis)
+                  b_eq=np.concatenate([a, b[:-1]]))
     if not res.success:
         raise SpaceError(f"transport LP failed: {res.message}")
     return _Optimum(res.fun, res.x.reshape(nr, nc), *_duals(res, nr))
+
+
+def _basis_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray, cells: np.ndarray,
+              rows: np.ndarray):
+    """The ``_Optimum`` of the transport LP of ``_transport_lp`` at the
+    basis whose basic columns are ``cells`` (ascending) and whose rows
+    have the ``linprog`` statuses ``rows``, or None if that basis is not
+    optimal for the LP as it stands.
+
+    ``linprog`` solves the LP over those cells alone, started from that
+    basis.  A basic solution depends only on its basis matrix, so if
+    HiGHS takes no pivot there and no cell of c prices below
+    -_HIGHS_DUAL_TOL with its duals, the LP over every cell started from
+    that basis would stop there too, with the same factorization: the
+    plan, duals and value are bitwise the ones it would return, at a
+    fraction of its cost.
+    """
+    nr, nc = c.shape
+    res = linprog(c.ravel()[cells], A_eq=_transport_csc(nr, nc, cells),
+                  b_eq=np.concatenate([a, b[:-1]]),
+                  basis=(np.ones(len(cells), dtype=np.int8), rows))
+    if not res.success or res.nit > 0:
+        return None
+    u, v = _duals(res, nr)
+    if (c - u[:, None] - v).min() < -_HIGHS_DUAL_TOL:
+        return None
+    x = np.zeros(nr * nc)
+    x[cells] = res.x
+    return _Optimum(res.fun, x.reshape(nr, nc), u, v)
 
 
 def _strictly_monge(c: np.ndarray) -> bool:
@@ -436,7 +467,7 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     only optimal plan of the full LP: any other feasible plan puts mass on
     a cell off the tree and costs more.  So the pivots HiGHS takes on the
     way do not change an accepted answer beyond rounding.  Its basis is
-    that tree, with every row logical nonbasic.
+    that tree's cells, with every row logical nonbasic.
     """
     nr, nc = c.shape
     scale = np.abs(c).max()
@@ -479,10 +510,8 @@ def _column_generation(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         return None
     x = np.zeros(nr * nc)
     x[cells] = res.x
-    cols = np.zeros(nr * nc, dtype=np.int8)
-    cols[cells[tree]] = 1
     return _Optimum(res.fun * scale, x.reshape(nr, nc), u * scale, v * scale,
-                    (cols, res.basis[1]))
+                    (cells[tree], res.basis[1]))
 
 
 def _monge_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> _Optimum:
@@ -557,7 +586,8 @@ def _forcing_basis(c: np.ndarray, opt: _Optimum, keep_r: np.ndarray,
     """The basis of the full transport LP that HiGHS's forcing-row
     postsolve builds from ``opt``, column generation's accepted optimum of
     the LP without the forcing rows (those of ``~keep_r`` and ``~keep_c``)
-    and their columns, as (column, row) statuses.
+    and their columns: its basic cells of c, ascending, and the
+    ``linprog`` statuses of the full LP's rows.
 
     Each forcing row takes the reduced costs of its columns in kept rows
     and columns without its own dual: c - v for a mu row, c - u for a nu
@@ -565,16 +595,16 @@ def _forcing_basis(c: np.ndarray, opt: _Optimum, keep_r: np.ndarray,
     cost, which is not negative, so it never enters.)  If the least is
     negative, the first column that attains it becomes basic and the
     row's logical leaves the basis at its bound; otherwise the logical is
-    basic.  Every other dropped column is nonbasic at 0.  Started from
-    that basis, the full LP takes no pivot on the LPs tested.
+    basic.  Every other dropped column is nonbasic at 0.
     """
     nr, nc = c.shape
     kr, kc = np.flatnonzero(keep_r), np.flatnonzero(keep_c)
     fi, fj = np.flatnonzero(~keep_r), np.flatnonzero(~keep_c)
-    cols = np.zeros((nr, nc), dtype=np.int8)
-    cols[np.ix_(kr, kc)] = opt.basis[0].reshape(len(kr), len(kc))
+    tree, kept_rows = opt.basis
+    i, j = np.divmod(tree, len(kc))
+    cells = [kr[i] * nc + kc[j]]
     rows = np.ones(nr + nc - 1, dtype=np.int8)
-    rows[np.concatenate([kr, nr + kc[:-1]])] = opt.basis[1]
+    rows[np.concatenate([kr, nr + kc[:-1]])] = kept_rows
 
     def entering(reduced):
         # per forcing row (a row of reduced): the first least reduced
@@ -584,11 +614,11 @@ def _forcing_basis(c: np.ndarray, opt: _Optimum, keep_r: np.ndarray,
 
     best, hit = entering(c[np.ix_(fi, kc)] - opt.v)
     rows[fi[hit]] = 0
-    cols[fi[hit], kc[best[hit]]] = 1
+    cells.append(fi[hit] * nc + kc[best[hit]])
     best, hit = entering(c[np.ix_(kr, fj)].T - opt.u)
     rows[nr + fj[hit]] = 0
-    cols[kr[best[hit]], fj[hit]] = 1
-    return cols.ravel(), rows
+    cells.append(kr[best[hit]] * nc + fj[hit])
+    return np.sort(np.concatenate(cells)), rows
 
 
 def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):

@@ -123,6 +123,23 @@ def transport_constraints(nr, nc):
                   format="csr").tocsc()
 
 
+def full_lp_from_basis(c, a, b, cells, rows):
+    """The referee of ``transport._basis_lp``: the transport LP over all
+    nr x nc cells, solved by ``transport.linprog`` from the basis whose
+    basic columns are ``cells`` and whose rows have the statuses
+    ``rows`` (``transport._forcing_basis``'s answer), as an
+    ``_Optimum``; SpaceError if HiGHS does not find it optimal."""
+    nr, nc = c.shape
+    cols = np.zeros(nr * nc, dtype=np.int8)
+    cols[cells] = 1
+    res = transport.linprog(c.ravel(), A_eq=transport._transport_csc(nr, nc),
+                            b_eq=np.concatenate([a, b[:-1]]), basis=(cols, rows))
+    if not res.success:
+        raise SpaceError(f"transport LP failed: {res.message}")
+    return transport._Optimum(res.fun, res.x.reshape(nr, nc),
+                              *transport._duals(res, nr))
+
+
 def csgraph_chains(d, radius, sources=None, limit=np.inf):
     """scipy's Dijkstra on the hops d(i, j) < radius, i != j: ``(dist,
     pred)`` as ``core`` computed them before it had a routine of its own,

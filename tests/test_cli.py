@@ -431,6 +431,23 @@ class TestCdAndIneq:
                      flag, weights]) == 2
         assert "--mu0 and --mu1 must be given together" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--mu0", "--mu1"])
+    @pytest.mark.parametrize("bad, message", [
+        ("{}", "must be an array of numbers"),
+        ("[1, 0]", "must have length 3"),
+        ("[1, -1, 1]", "must be finite and nonnegative"),
+    ])
+    def test_bad_endpoint_measure_names_its_flag(self, tmp_path, capsys, flag,
+                                                 bad, message):
+        f = write_json(tmp_path / "f.json", MEASURED)
+        argv = ["cd-check", f, "--K", "0", "--mu0", "[1, 0, 0]",
+                "--mu1", "[0, 0, 1]"]
+        argv[argv.index(flag) + 1] = bad
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {message}")
+        assert "Traceback" not in err
+
     def test_ineq_gaussian_log_sobolev(self, tmp_path, gauss_file):
         out = tmp_path / "ineq.json"
         code = main(["ineq", str(gauss_file), "--K", "1",
@@ -517,7 +534,7 @@ class TestNonFiniteInput:
         mu1 = "[0.5, 0, 0, 0, 0.5, 0, 0, 0, 0]"
         assert main(["cd-check", str(line), "--K", "1", "--mu0", mu0,
                      "--mu1", mu1]) == 2
-        assert "mu must be finite and nonnegative" in capsys.readouterr().err
+        assert "--mu0 must be finite and nonnegative" in capsys.readouterr().err
 
 
 #: space and problem files whose values are no numbers, or not of the

@@ -42,6 +42,7 @@ from qmspace.transport import default_hop_radius
 
 
 from oracles import (
+    full_lp_from_basis,
     loop_dynamical_plan,
     loop_interpolate,
     polytope_vertex_minimum,
@@ -528,16 +529,21 @@ def forcing_row_inputs(draw):
     return cost, mu, nu
 
 
+def _answer(cost, mu, nu):
+    """_solve_lp's answer, or its SpaceError message."""
+    try:
+        return transport._solve_lp(cost, mu, nu)
+    except SpaceError as exc:
+        return str(exc)
+
+
 def _dense(cost, mu, nu):
     """_solve_lp's answer, or its SpaceError message, with column
     generation turned off: every LP but the closed form goes whole to
     linprog, without a start basis."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "_column_generation", lambda c, a, b: None)
-        try:
-            return transport._solve_lp(cost, mu, nu)
-        except SpaceError as exc:
-            return str(exc)
+        return _answer(cost, mu, nu)
 
 
 def _presolved(cost, mu, nu, presolve=True):
@@ -578,9 +584,11 @@ class TestPresolveRule:
     takes is the LP that HiGHS presolve makes."""
 
     def test_threshold_is_highs_feasibility_tolerance(self):
-        _, tol = transport._highs()._Highs().getOptionValue(
-            "primal_feasibility_tolerance")
+        highs = transport._highs()._Highs()
+        _, tol = highs.getOptionValue("primal_feasibility_tolerance")
         assert transport.PRESOLVE_MASS == tol
+        _, tol = highs.getOptionValue("dual_feasibility_tolerance")
+        assert transport._HIGHS_DUAL_TOL == tol
 
     @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
@@ -634,6 +642,11 @@ class TestPresolveRule:
             return ours(*lp)
 
         monkeypatch.setattr(transport, "_column_generation", recorded)
+        bases = []
+        forcing_basis = transport._forcing_basis
+        monkeypatch.setattr(transport, "_forcing_basis",
+                            lambda *args: bases.append(forcing_basis(*args))
+                            or bases[-1])
         cost = random_quasi_metric(rng, n).dist ** 2
         calls = _recorded_linprog(monkeypatch)
         _, plan, _ = transport._solve_lp(cost, mu, nu)
@@ -652,12 +665,16 @@ class TestPresolveRule:
         assert np.array_equal(lp.a_matrix_.start_, a_small.indptr)
         assert np.array_equal(lp.a_matrix_.index_, a_small.indices)
         assert np.array_equal(lp.a_matrix_.value_, a_small.data)
-        # the accepted tree completes to HiGHS's postsolved basis: the full
-        # LP takes no pivot of its own, and its answer is presolve's
+        # the accepted tree completes to HiGHS's postsolved basis: the LP
+        # over its basic cells takes no pivot of its own, and its answer,
+        # scattered over every cell, is presolve's
         (full,) = [res for restricted, started, res in calls if started]
+        ((cells, _),) = bases
         whole = _scipy_linprog(cost.ravel(), transport._transport_csc(n, n), b_eq)
         assert full.nit == 0
-        assert np.array_equal(full.x, whole.x)
+        x = np.zeros(n * n)
+        x[cells] = full.x
+        assert np.array_equal(x, whole.x)
         assert np.array_equal(full.eqlin.marginals, whole.eqlin.marginals)
         assert full.fun == whole.fun
         assert np.array_equal(plan, whole.x.reshape(n, n))
@@ -1076,9 +1093,10 @@ class TestColumnGeneration:
     @given(transport_inputs())
     @settings(max_examples=150, deadline=None)
     def test_a_start_basis_follows_an_accepted_attempt(self, inputs):
-        # the full LP of a forcing-row LP starts from a basis only where
-        # column generation accepted the LP without them; every other LP
-        # but the closed form goes whole to linprog once
+        # a forcing-row LP is solved from a basis only where column
+        # generation accepted the LP without them, and then over that
+        # basis's columns alone; every other LP but the closed form goes
+        # whole to linprog once
         c, a, b = _kept(*inputs)
         with pytest.MonkeyPatch.context() as mp:
             attempts = _counted_column_generation(mp)
@@ -1092,6 +1110,9 @@ class TestColumnGeneration:
             assert (attempts, calls) == ([], [])
         elif attempts == [True]:
             assert full == ([True] if _has_forcing_rows(a, b) else [])
+            for _, started, res in calls:
+                if started:  # one column per basic variable but row logicals
+                    assert len(res.x) == sum(c.shape) - 1 - (res.basis[1] == 1).sum()
         else:
             assert attempts in ([], [False]) and full == [False]
 
@@ -1121,6 +1142,69 @@ class TestColumnGeneration:
         drift = max(np.abs(plan.sum(axis=1) - mu).max(),
                     np.abs(plan.sum(axis=0) - nu).max())
         assert drift > transport.MARGINAL_TOL
+
+    def test_forcing_row_survey_keeps_its_bits(self):
+        # 320 seeded forcing-row inputs: closed quasi-metrics of 3 to 40
+        # points, costs 10^k d^p (k in -6..6, p in 1, 2, 3), and masses of
+        # 1e-12 to 1e-7 on about 30% of one side's points.  Where column
+        # generation is accepted, the completed basis is solved over its
+        # columns alone; it must be accepted every time, and the answer
+        # (or the SpaceError) must be bitwise that of the LP over every
+        # cell started from the same basis.
+        handed_off = 0
+        ours = transport._basis_lp
+        for seed in range(320):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 41))
+            d = random_quasi_metric(rng, n).dist
+            cost = 10.0 ** rng.integers(-6, 7) * d ** rng.choice([1, 2, 3])
+            mu, nu = rng.random(n), rng.random(n)
+            side = mu if rng.random() < 0.5 else nu
+            tiny = rng.random(n) < 0.3
+            tiny[rng.integers(n)] = True
+            side[tiny] = 10.0 ** rng.uniform(-12, -7, tiny.sum())
+            mu, nu = mu / mu.sum(), nu / nu.sum()
+            accepted = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transport, "_basis_lp", lambda *lp: accepted.append(
+                    ours(*lp)) or accepted[-1])
+                got = _answer(cost, mu, nu)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transport, "_basis_lp", full_lp_from_basis)
+                want = _answer(cost, mu, nu)
+            assert None not in accepted, seed
+            _assert_bitwise(got, want)
+            handed_off += len(accepted)
+        assert handed_off >= 200  # 238 at these seeds
+
+    @pytest.mark.parametrize("refusal", ["pivot", "priced"])
+    def test_a_refused_basis_solves_the_lp_whole(self, funk200_skewed, refusal):
+        # where the LP over the completed basis's columns takes a pivot,
+        # or a cell off it prices below HiGHS's dual tolerance, the basis
+        # may not be the full LP's optimum: the LP goes whole to the
+        # dense LP, without a start basis
+        ms, mu, nu = funk200_skewed
+        cost = ms.space.dist ** 2
+        ours = transport.linprog
+
+        def pivoting(c, **kwargs):
+            res = ours(c, **kwargs)
+            if kwargs.get("basis") is not None:
+                res.nit += 1
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            if refusal == "pivot":
+                mp.setattr(transport, "linprog", pivoting)
+            else:  # no cell prices at +inf
+                mp.setattr(transport, "_HIGHS_DUAL_TOL", -np.inf)
+            attempts = _counted_column_generation(mp)
+            calls = _recorded_linprog(mp)
+            got = _answer(cost, mu, nu)
+        assert attempts == [True]
+        assert [started for restricted, started, _ in calls
+                if not restricted] == [True, False]
+        _assert_bitwise(got, _dense(cost, mu, nu))
 
     def test_rescaled_forcing_row_lp_is_optimal(self):
         # costs of about 1e-6 sit below HiGHS's absolute 1e-7 tolerances:
