@@ -220,6 +220,16 @@ def _density_pair(ms: core.MeasuredSpace, seed: int):
     return out
 
 
+def _weights_flag(text: str, n: int, flag: str) -> np.ndarray:
+    """The n weights that the JSON array ``text`` of ``flag`` gives;
+    SpaceError naming the flag if it is no such array."""
+    try:
+        weights = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise core.SpaceError(f"{flag} is not valid JSON: {exc}") from None
+    return core._measure(weights, n, flag)
+
+
 def cmd_cd(args) -> int:
     from . import curvature
     ms = _as_measured(load_space(args.file), "cd-check").normalized()
@@ -228,8 +238,8 @@ def cmd_cd(args) -> int:
     if (args.mu0 is None) != (args.mu1 is None):
         raise core.SpaceError("--mu0 and --mu1 must be given together")
     if args.mu0 is not None:
-        mu0 = core._measure(json.loads(args.mu0), ms.n, "--mu0")
-        mu1 = core._measure(json.loads(args.mu1), ms.n, "--mu1")
+        mu0 = _weights_flag(args.mu0, ms.n, "--mu0")
+        mu1 = _weights_flag(args.mu1, ms.n, "--mu1")
     else:
         mu0, mu1 = _density_pair(ms, args.seed)
     reports = curvature.cd_check(ms, mu0, mu1, args.K, N, U, args.ts)

@@ -9,6 +9,8 @@ problems also expose the Kantorovich-Rubinstein dual over asymmetric
 Every LP goes through ``_solve_lp``, which drops the points without
 mass, hands the rest to ``_transport_lp`` (its docstring gives the
 routes, each of which returns an ``_Optimum``) and certifies the answer.
+An order-1 LP first tries ``_metric_lp``, which moves only the mass
+that must move.
 HiGHS runs through ``linprog``, with the options of
 ``scipy.optimize.linprog(method="highs")`` and presolve off.  The
 constraints are built with numpy, and the extension module of the HiGHS
@@ -62,6 +64,8 @@ PRESOLVE_MASS = 1e-7
 #: HiGHS's dual_feasibility_tolerance: at its default the dense LP stops
 #: once no cell prices below minus this
 _HIGHS_DUAL_TOL = 1e-7
+#: _solve_lp's certificate refuses a reduced cost below minus this
+_REDUCED_TOL = 1e-7
 DUALITY_TOL = 1e-7
 #: column generation starts from this many cheapest cells per row and
 #: per column; adds a cell whose reduced cost, relative to the largest
@@ -621,7 +625,69 @@ def _forcing_basis(c: np.ndarray, opt: _Optimum, keep_r: np.ndarray,
     return np.sort(np.concatenate(cells)), rows
 
 
-def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
+def _metric_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+               keep_r: np.ndarray, keep_c: np.ndarray, c: np.ndarray):
+    """The ``_Optimum`` of ``_solve_lp``'s LP c = cost[keep_r, keep_c]
+    (the points where mu and nu have mass) when the square cost is a
+    quasi-metric, or None if this route does not prove its plan to be the
+    only optimum.
+
+    By the triangle inequality an order-1 plan can leave the mass mu ^ nu
+    where it is (Villani 2009, ch. 6): only (mu - nu)+ on R = {mu > nu}
+    has to travel, to (nu - mu)+ on C = {nu > mu}.  That R x C LP goes to
+    ``_column_generation``.  The plan is diag(mu ^ nu) plus its plan, and
+    the duals are u = -f and v = f, where f(y) = min over x in R of
+    cost[x, y] - u_R[x] is the c-transform of its row duals u_R.  The
+    answer is kept only if, over every cell of c, no reduced cost
+    cost[x, y] + f(x) - f(y) is below -_REDUCED_TOL (the certificate of
+    ``_solve_lp``) and every cell off the diagonal cells with mass and the
+    tree prices above _CG_UNIQUE of the largest cost.  Those cells form a
+    forest, so the plan is then the only optimum of the LP, which
+    ``_transport_lp`` would return to rounding.  A cost that breaks the
+    triangle inequality is priced by the same test.
+
+    Not tried where the diagonal is not 0, where a mass of mu or nu lies in
+    (0, PRESOLVE_MASS] (those LPs keep the forcing-row route of
+    ``_transport_lp``, bit for bit), or where ``_transport_lp`` would not
+    try column generation on the R x C LP either: fewer than three rows or
+    columns, tied costs, or a mass at or below PRESOLVE_MASS.
+    """
+    masses = np.concatenate([mu, nu])
+    if cost.diagonal().any() or ((masses > 0) & (masses <= PRESOLVE_MASS)).any():
+        return None
+    excess = mu - nu
+    rows, cols = np.flatnonzero(excess > 0), np.flatnonzero(excess < 0)
+    moving, a, b = cost[np.ix_(rows, cols)], excess[rows], -excess[cols]
+    if (not _tries_column_generation(moving)
+            or min(a.min(), b.min()) <= PRESOLVE_MASS):
+        return None
+    opt = _column_generation(moving, a, b)
+    if opt is None:
+        return None
+    f = (cost[rows] - opt.u[:, None]).min(axis=0)
+    f -= f[keep_c[-1]]  # v[-1] = 0, as on every route
+    reduced = c + f[keep_r, None] - f[keep_c]
+    # the plan and its support in c's rows and columns: the points with
+    # mass in both marginals, then R x C
+    shared = np.intersect1d(keep_r, keep_c, assume_unique=True)
+    si, sj = np.searchsorted(keep_r, shared), np.searchsorted(keep_c, shared)
+    ri, cj = np.searchsorted(keep_r, rows), np.searchsorted(keep_c, cols)
+    plan = np.zeros(c.shape)
+    plan[si, sj] = np.minimum(mu[shared], nu[shared])
+    plan[np.ix_(ri, cj)] = opt.plan
+    off = np.ones(c.shape, dtype=bool)
+    off[si, sj] = False
+    ti, tj = np.divmod(opt.basis[0], len(cols))
+    off[ri[ti], cj[tj]] = False
+    # written so that a NaN refuses
+    if not (reduced.min() >= -_REDUCED_TOL
+            and reduced[off].min(initial=np.inf) > _CG_UNIQUE * c.max()):
+        return None
+    return _Optimum(opt.value, plan, -f[keep_r], f[keep_c])
+
+
+def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+              metric: bool = False):
     """Exact transportation LP; returns (optimal value, plan matrix, psi).
 
     psi is the c-transform of the row duals u over every column,
@@ -629,6 +695,9 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
     Points without mass are dropped.  A non-finite cost among the rest
     raises SpaceError, because HiGHS would call such an LP optimal.
+    With ``metric`` (the square cost is the quasi-metric itself: order-1
+    transport), ``_metric_lp`` tries the LP that moves only (mu - nu)+;
+    where it has no certified answer, and without ``metric``,
     ``_transport_lp`` solves the rest by the routing rule its docstring
     gives (dropping rows and columns keeps a Monge matrix Monge).  Every
     route's ``_Optimum`` must pass the same certificate below.  Column
@@ -641,11 +710,13 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     c = cost[np.ix_(keep_r, keep_c)]
     if not np.isfinite(c).all():
         raise SpaceError("transport LP failed: non-finite cost")
-    opt = _transport_lp(c, mu[keep_r], nu[keep_c])
+    opt = _metric_lp(cost, mu, nu, keep_r, keep_c, c) if metric else None
+    if opt is None:
+        opt = _transport_lp(c, mu[keep_r], nu[keep_c])
 
     # complementary-slackness certificate from the equality duals
     reduced = c - opt.u[:, None] - opt.v[None, :]
-    if reduced.min() < -1e-7:
+    if reduced.min() < -_REDUCED_TOL:
         raise SpaceError("LP optimality certificate failed: negative reduced cost")
     if np.abs(opt.plan * reduced).max() > 1e-6:
         raise SpaceError("LP optimality certificate failed: slackness violated")
@@ -657,12 +728,14 @@ def _solve_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
 
 
 def wasserstein(prob: TransportProblem) -> tuple[float, Coupling]:
-    """Order-p transport distance and an optimal coupling (exact LP)."""
+    """Order-p transport distance and an optimal coupling (exact LP; at
+    p = 1 the cost is the quasi-metric itself, so ``_metric_lp`` is
+    tried first)."""
     if np.allclose(prob.mu, prob.nu, rtol=0, atol=MASS_TOL):
         return 0.0, Coupling(np.diag(prob.mu), prob.mu, prob.nu)
     with np.errstate(over="ignore"):  # an infinite cost raises in _solve_lp
         cost = prob.space.dist ** prob.p
-    value, plan, _ = _solve_lp(cost, prob.mu, prob.nu)
+    value, plan, _ = _solve_lp(cost, prob.mu, prob.nu, metric=prob.p == 1)
     # clean tiny negative / marginal drift from the solver
     plan = np.maximum(plan, 0.0)
     return float(max(value, 0.0) ** (1.0 / prob.p)), Coupling(plan, prob.mu, prob.nu)
@@ -673,16 +746,19 @@ def kr_dual(prob: TransportProblem) -> tuple[float, np.ndarray]:
 
     The potential psi is the c-transform of the transport LP's row
     duals, shifted so that psi[0] = 0, and the value is
-    sum(psi * (nu - mu)).  psi is 1-Lipschitz only when d satisfies the
-    triangle inequality, so the answer is certified before it is
-    returned: psi[j] - psi[i] <= d(i, j) on every pair, and the value
-    equals the primal optimum, both to DUALITY_TOL times the largest
-    distance.  Otherwise SpaceError is raised.
+    sum(psi * (nu - mu)).  The LP is solved as ``wasserstein`` solves it
+    at p = 1: where ``_metric_lp`` keeps its answer, the row duals are
+    -f for the c-transform f of the row duals of the LP from (mu - nu)+
+    to (nu - mu)+.  psi is 1-Lipschitz only
+    when d satisfies the triangle inequality, so the answer is certified
+    before it is returned: psi[j] - psi[i] <= d(i, j) on every pair, and
+    the value equals the primal optimum, both to DUALITY_TOL times the
+    largest distance.  Otherwise SpaceError is raised.
     """
     if prob.p != 1:
         raise SpaceError("the Kantorovich-Rubinstein dual requires p = 1")
     d = prob.space.dist
-    primal, _, psi = _solve_lp(d, prob.mu, prob.nu)
+    primal, _, psi = _solve_lp(d, prob.mu, prob.nu, metric=True)
     psi -= psi[0]  # fix the constant gauge
     dual = float(psi @ (prob.nu - prob.mu))
     tol = DUALITY_TOL * d.max()

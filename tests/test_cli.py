@@ -436,6 +436,7 @@ class TestCdAndIneq:
         ("{}", "must be an array of numbers"),
         ("[1, 0]", "must have length 3"),
         ("[1, -1, 1]", "must be finite and nonnegative"),
+        ("[1, 0,", "is not valid JSON"),
     ])
     def test_bad_endpoint_measure_names_its_flag(self, tmp_path, capsys, flag,
                                                  bad, message):

@@ -1,5 +1,7 @@
+import collections
 import importlib.machinery
 import itertools
+import math
 import re
 import sys
 
@@ -925,19 +927,26 @@ class TestMongeClosedForm:
         assert np.array_equal(opt.plan, coupling.matrix)
 
 
-def _counted_column_generation(mp):
-    """Wrap _column_generation in mp; the list it returns gets one entry
-    per call, True where the attempt was accepted."""
+def _counted(mp, name):
+    """Wrap transport's function ``name`` in mp; the list it returns gets
+    one entry per call, True where the call returned an answer (not
+    None)."""
     calls = []
-    ours = transport._column_generation
+    ours = getattr(transport, name)
 
-    def counted(c, a, b):
-        res = ours(c, a, b)
+    def counted(*args):
+        res = ours(*args)
         calls.append(res is not None)
         return res
 
-    mp.setattr(transport, "_column_generation", counted)
+    mp.setattr(transport, name, counted)
     return calls
+
+
+def _counted_column_generation(mp):
+    """Wrap _column_generation in mp; the list it returns gets one entry
+    per call, True where the attempt was accepted."""
+    return _counted(mp, "_column_generation")
 
 
 def _recorded_linprog(mp):
@@ -1344,6 +1353,180 @@ class TestColumnGeneration:
         monkeypatch.setattr(transport, "linprog", record)
         wasserstein(TransportProblem(ms.space, mu, nu, 2.0))
         assert sizes and max(sizes) < 0.1 * ms.n ** 2
+
+
+#: the survey's families of order-1 inputs, drawn in turn by seed
+ORDER1_FAMILIES = ["funk-dense", "funk-sparse", "closed", "unclosed",
+                   "forcing", "small", "line"]
+
+
+def _order1_input(seed):
+    """(family, d, mu, nu) of one seeded order-1 LP.
+
+    - funk-dense: Funk samples of 6 to 40 points at clip radius 1 or 3,
+      dense marginals; 30% of them get one point whose excess nu - mu is
+      at or below PRESOLVE_MASS;
+    - funk-sparse: the same with about half of each marginal's masses 0;
+    - closed: ``random_quasi_metric``s of 4 to 30 points, whose geodesic
+      ties leave optima that are not unique;
+    - unclosed: random costs in [0.2, 1.5] that break the triangle
+      inequality, one in five with a nonzero diagonal;
+    - forcing: Funk samples or closed quasi-metrics with masses of 1e-12
+      to 1e-7 on about 30% of one side's points;
+    - small: Funk samples of 3 to 8 points, at most 4 masses on each side,
+      so the polytope oracle can enumerate the LP's trees;
+    - line: the 1-D Euclidean grid of 6 to 29 points, whose costs tie.
+    """
+    rng = np.random.default_rng(seed)
+    family = ORDER1_FAMILIES[seed % len(ORDER1_FAMILIES)]
+    n = int(rng.integers(*{"small": (3, 9), "closed": (4, 31), "unclosed": (4, 31),
+                           "line": (6, 30)}.get(family, (6, 41))))
+    if family == "closed" or (family == "forcing" and rng.random() < 0.5):
+        d = random_quasi_metric(rng, n).dist
+    elif family == "unclosed":
+        d = rng.uniform(0.2, 1.5, (n, n))
+        np.fill_diagonal(d, 0.0 if rng.random() < 0.8 else rng.uniform(0, 0.1, n))
+    elif family == "line":
+        d = euclidean_grid_1d(1.0 / (n - 1)).space.dist
+        n = len(d)
+    else:
+        d = sample(FunkBall(dim=2), SampleSpec(
+            strategy="seeded-uniform", count=n, seed=int(rng.integers(2 ** 31)),
+            clip_radius=float(rng.choice([1.0, 3.0])))).space.dist
+    mu, nu = rng.random(n), rng.random(n)
+    if family == "funk-sparse":
+        for m in (mu, nu):
+            m[rng.random(n) < 0.5] = 0.0
+            m[rng.integers(n)] += 1.0
+    elif family == "small":
+        perm = rng.permutation(n)
+        k = min(int(rng.integers(2, 5)), n - 1)
+        mu[perm[k:]] = 0.0
+        start = k - int(rng.integers(0, 2))  # one shared point, or none
+        nu[np.setdiff1d(np.arange(n), perm[start:start + int(rng.integers(2, 5))])] = 0.0
+        if not nu.any():
+            nu[perm[-1]] = 1.0
+    elif family == "forcing":
+        side = mu if rng.random() < 0.5 else nu
+        tiny = rng.random(n) < 0.3
+        tiny[rng.integers(n)] = True
+        side[tiny] = 10.0 ** rng.uniform(-12, -7, tiny.sum())
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    if family == "funk-dense" and rng.random() < 0.3:
+        k = rng.integers(n)
+        rest = np.arange(n) != k
+        nu[k] = mu[k] + rng.uniform(0.1, 1.0) * transport.PRESOLVE_MASS
+        nu[rest] *= (1.0 - nu[k]) / nu[rest].sum()
+    return family, d, mu, nu
+
+
+def _route_refusal(d, mu, nu, attempt):
+    """Why ``_metric_lp`` hands the LP of d, mu and nu on, told apart
+    from its docstring: ``attempt`` is column generation's answer on the
+    R x C LP, where the route got that far."""
+    masses = np.concatenate([mu, nu])
+    excess = mu - nu
+    rows, cols = np.flatnonzero(excess > 0), np.flatnonzero(excess < 0)
+    if d.diagonal().any():
+        return "diagonal"
+    if ((masses > 0) & (masses <= transport.PRESOLVE_MASS)).any():
+        return "forcing mass"
+    if min(len(rows), len(cols)) < 3:
+        return "small"
+    if not transport._distinct_costs(d[np.ix_(rows, cols)]):
+        return "ties"
+    if min(excess[rows].min(), -excess[cols].max()) <= transport.PRESOLVE_MASS:
+        return "tiny excess"
+    if attempt is None:
+        return "column generation"
+    # the whole LP's reduced costs with the duals -f, f of the attempt
+    f = (d[rows] - attempt.u[:, None]).min(axis=0)
+    reduced = d[np.ix_(mu > 0, nu > 0)] + f[mu > 0, None] - f[nu > 0]
+    return ("negative reduced cost" if reduced.min() < -transport._REDUCED_TOL
+            else "not unique")
+
+
+class TestMetricRoute:
+    """With metric=True (order-1 transport), _solve_lp first tries the LP
+    that moves only (mu - nu)+ to (nu - mu)+.  Where that answer is kept
+    it is the whole LP's to rounding; elsewhere the whole LP is solved
+    as without metric, bit for bit."""
+
+    def test_survey_agrees_with_the_whole_lp(self):
+        # 350 seeded inputs of ORDER1_FAMILIES, in which the route is
+        # kept and hands on for each of its reasons
+        outcomes = collections.Counter()
+        oracle_checks = 0
+        for seed in range(350):
+            family, d, mu, nu = _order1_input(seed)
+            attempts = []
+            ours = transport._column_generation
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transport, "_column_generation",
+                           lambda *lp: attempts.append(ours(*lp)) or attempts[-1])
+                kept = _counted(mp, "_metric_lp")
+                try:
+                    got = transport._solve_lp(d, mu, nu, metric=True)
+                except SpaceError as exc:
+                    got = str(exc)
+            want = _answer(d, mu, nu)
+            if kept == [True]:
+                outcomes["kept"] += 1
+                assert not isinstance(want, str), seed
+                assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0]), seed
+                assert np.abs(got[1] - want[1]).max() <= 1e-12, seed
+                nr, nc = (mu > 0).sum(), (nu > 0).sum()
+                if math.comb(nr * nc, nr + nc - 1) <= 12000:
+                    oracle = polytope_vertex_minimum(d, mu, nu)
+                    assert abs(got[0] - oracle) <= 1e-12 * oracle, seed
+                    oracle_checks += 1
+            else:
+                reason = _route_refusal(d, mu, nu, attempts[0] if attempts else None)
+                outcomes[reason] += 1
+                _assert_bitwise(got, want)
+        assert set(outcomes) == {
+            "kept", "diagonal", "forcing mass", "small", "ties", "tiny excess",
+            "column generation", "negative reduced cost", "not unique"}
+        assert outcomes["kept"] >= 100  # 107 at these seeds
+        assert oracle_checks >= 10  # 13 at these seeds
+
+    @given(st.floats(-6.0, 6.0))
+    @settings(max_examples=30, deadline=None)
+    @example(-6.0)
+    @example(6.0)
+    def test_rescaling_scales_the_value(self, funk200, log_k):
+        # W_1(k d) = k W_1(d), both answered by the route
+        ms, mu, nu = funk200
+        k = 10.0 ** log_k
+        with pytest.MonkeyPatch.context() as mp:
+            kept = _counted(mp, "_metric_lp")
+            w, plan = wasserstein(TransportProblem(ms.space, mu, nu, 1.0))
+            w_k, plan_k = wasserstein(TransportProblem(rescale(ms, k).space,
+                                                       mu, nu, 1.0))
+        assert kept == [True, True]
+        assert abs(w_k - k * w) <= 1e-12 * k * w
+        assert np.abs(plan_k.matrix - plan.matrix).max() <= 1e-12
+
+    def test_kr_dual_certifies_the_route(self, funk200):
+        ms, mu, nu = funk200
+        prob = TransportProblem(ms.space, mu, nu, 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            kept = _counted(mp, "_metric_lp")
+            primal, _ = wasserstein(prob)
+            dual, psi = kr_dual(prob)
+        assert kept == [True, True]
+        d = ms.space.dist
+        tol = transport.DUALITY_TOL * d.max()
+        assert (psi[None, :] - psi[:, None] - d).max() <= tol
+        assert abs(dual - primal) <= tol
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_higher_orders_do_not_take_the_route(self, funk200, p):
+        ms, mu, nu = funk200
+        with pytest.MonkeyPatch.context() as mp:
+            kept = _counted(mp, "_metric_lp")
+            wasserstein(TransportProblem(ms.space, mu, nu, p))
+        assert kept == []
 
 
 def test_kr_dual_matches_primal(rng):
